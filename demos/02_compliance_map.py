@@ -22,7 +22,7 @@ lam = wave.wavelength
 ies_axis = np.array([0.5, 0.7, 1.0, 1.2, 1.35]) * lam
 d_axis = np.array([100, 200, 300, 400, 500, 600]) * lam
 grid = SweepGrid(tuple(ies_axis), tuple(d_axis))
-grid.validate_cap(wave)
+grid.validate_cap(wave, n_elements=100)
 
 cmap = run_sweep(grid, wave, tz_radius=99 * lam / 8)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def cmd_fom(cfg: RunConfig, args, out: TextIO) -> None:
 def cmd_sweep(cfg: RunConfig, args, out: TextIO) -> None:
     lam = cfg.wavelength
     grid = SweepGrid(tuple(cfg.ies_values), tuple(cfg.d_values))
-    grid.validate_cap(cfg.wave)
+    grid.validate_cap(cfg.wave, cfg["n_elements"])
     cmap = run_sweep(grid, cfg.wave, cfg.tz_radius, cfg["n_elements"],
                      cfg["taper_edge"], cfg["taper_depth_db"], cfg["taper_endpoint"])
     rows = []

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .field import WaveSpec
-from .testzone import FomLimits, TIER1, TIER2, TIER3
+from .testzone import FomLimits
 
 # Table of the five compact (ies, D) picks, in wavelengths.
 DEFAULT_GEOMETRIES_LAMBDA: Tuple[Tuple[float, float], ...] = (
@@ -104,10 +105,39 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
+def _is_number(x: object, integer: bool) -> bool:
+    kinds = int if integer else (int, float)
+    return isinstance(x, kinds) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_types(cfg: Dict[str, object]) -> None:
+    """Each value must have the kind of its default, so no later check meets a wrong type."""
+    def numbers(v: object) -> bool:
+        return isinstance(v, list) and all(_is_number(x, False) for x in v)
+
+    for key, default in _DEFAULTS.items():
+        value, kind = cfg[key], "a list of finite numbers"
+        if isinstance(default, str):
+            ok, kind = isinstance(value, str), "a string"
+        elif isinstance(default, (int, float)):
+            ok = _is_number(value, isinstance(default, int))
+            kind = "an integer" if isinstance(default, int) else "a finite number"
+        elif isinstance(default, dict):
+            ok = isinstance(value, dict) and numbers([value.get(k) for k in default])
+            kind = f"an object with numbers for {sorted(default)}"
+        elif key == "geometries_lambda":
+            ok = isinstance(value, list) and all(numbers(g) for g in value)
+        else:
+            ok = numbers(value) or (value is None and default is None)
+        if not ok:
+            raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
 def _validate(cfg: Dict[str, object]) -> None:
     def fail(msg: str):
         raise ConfigError(msg)
 
+    _check_types(cfg)
     if cfg["frequency_hz"] <= 0:
         fail("frequency_hz must be positive")
     n = cfg["n_elements"]
@@ -130,6 +160,8 @@ def _validate(cfg: Dict[str, object]) -> None:
         d = list(cfg["d_lambda"])
         if not d or any(b <= a for a, b in zip(d, d[1:])):
             fail("d_lambda must be non-empty and strictly increasing")
+    if len(cfg["d_range_lambda"]) != 2 or cfg["d_range_lambda"][0] > cfg["d_range_lambda"][1]:
+        fail("d_range_lambda must be [lo, hi] with lo <= hi")
     if cfg["d_step_lambda"] <= 0 or cfg["sigma_step_db"] <= 0:
         fail("step sizes must be positive")
     if cfg["n_mc_tolerance"] < 1 or cfg["n_mc_precode"] < 1:
@@ -158,6 +190,8 @@ def load_config(data: Optional[Dict[str, object]] = None,
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
+    if not isinstance(data, (dict, type(None))):
+        raise ConfigError("config must be a JSON object")
     data = dict(data or {})
     unknown = set(data) - set(_DEFAULTS)
     if unknown:

@@ -7,7 +7,7 @@ by superposition. Element patterns and mutual coupling are not modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,10 +36,6 @@ class WaveSpec:
     @property
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
-
-    @property
-    def amplitude(self) -> float:
-        return 1.0
 
 
 def make_taper(n_elements: int, n_edge: int, depth_db: float,
@@ -113,12 +109,6 @@ class ArrayLayout:
 
     def with_errors(self, errors: Optional[np.ndarray]) -> "ArrayLayout":
         return ArrayLayout(self.n_elements, self.ies, self.taper, errors)
-
-    def element_weights(self) -> np.ndarray:
-        """Effective complex per-element weights (1 + eps) * t."""
-        if self.excitation_errors is None:
-            return self.taper.astype(complex)
-        return (1.0 + self.excitation_errors) * self.taper
 
 
 def chamber_array(ies: float, n_elements: int = 100, n_edge: int = 25,

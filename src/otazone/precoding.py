@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import ArrayLayout, WaveSpec, chamber_array
+from .field import ArrayLayout, WaveSpec, chamber_array, field_at_points
 from .tolerance import ExcitationErrorModel, draw_errors
 
 
@@ -45,44 +45,25 @@ def alpha_min_deg(length: float, distance: float) -> float:
     return float(np.degrees(np.arctan2(length, distance)))
 
 
-def interferer_elements(layout: ArrayLayout, distance: float,
-                        alpha_deg: float) -> np.ndarray:
-    """Element coordinates of the interferer array.
-
-    The array center sits at distance D from the test-zone center, at
-    angle alpha from boresight (boresight points from the zone center to
-    the main-array center), oriented broadside to the zone center. At
-    alpha = 0 it coincides with the main array.
-    """
-    a = np.radians(alpha_deg)
-    center = np.array([distance * np.sin(a), distance * (1.0 - np.cos(a))])
-    u = np.array([np.cos(a), np.sin(a)])  # along the rotated array line
-    return center[None, :] + layout.positions[:, None] * u[None, :]
-
-
-def _superposed_field(element_xy: np.ndarray, weights: np.ndarray,
-                      wave: WaveSpec, points: np.ndarray) -> np.ndarray:
-    r = np.hypot(points[:, 0, None] - element_xy[None, :, 0],
-                 points[:, 1, None] - element_xy[None, :, 1])
-    if np.any(r == 0.0):
-        raise ValueError("field point coincides with an element")
-    return (weights[None, :] * np.exp(-1j * wave.wavenumber * r) / (4.0 * np.pi * r)).sum(axis=1)
-
-
 def build_channel(ma_layout: ArrayLayout, distance: float, alpha_deg: float,
                   dut: DutArraySpec, wave: WaveSpec) -> np.ndarray:
     """2 x N_DUT channel: row 0 main array, row 1 interferer array.
 
-    Entries are the superposed error-free fields at each DUT element,
-    normalized to unit mean-square entry so the SNR axis is per receive
-    element.
+    The interferer is the main array moved rigidly: centered at distance D
+    from the zone center, at angle alpha from boresight (zone center to
+    main-array center), broadside to the zone center. So its row is the
+    main array's field at the DUT points expressed in the interferer's own
+    frame. Excitation errors of ``ma_layout``, if any, apply to both rows.
+    Entries are normalized to unit mean-square entry so the SNR axis is
+    per receive element.
     """
     pts = dut.points(wave, distance)
-    ma_xy = np.column_stack([ma_layout.positions, np.zeros(ma_layout.n_elements)])
-    ia_xy = interferer_elements(ma_layout, distance, alpha_deg)
-    h_ma = _superposed_field(ma_xy, ma_layout.taper, wave, pts)
-    h_ia = _superposed_field(ia_xy, ma_layout.taper, wave, pts)
-    h = np.stack([h_ma, h_ia])
+    a = np.radians(alpha_deg)
+    center = np.array([distance * np.sin(a), distance * (1.0 - np.cos(a))])
+    # columns: the interferer's array axis and its broadside direction
+    frame = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    h = np.stack([field_at_points(ma_layout, wave, pts),
+                  field_at_points(ma_layout, wave, (pts - center) @ frame)])
     scale = np.sqrt(np.mean(np.abs(h) ** 2))
     return h / scale
 
@@ -120,7 +101,7 @@ def perturb_weights(w: np.ndarray, sigma_dut_db: float,
 
 
 def sinr(h: np.ndarray, w: np.ndarray, snr_db: float,
-         noise_norms: Optional[np.ndarray] = None) -> Tuple[float, float]:
+         noise_norms: Optional[np.ndarray] = None):
     """Per-user uplink SINR with linear combining.
 
     Receive model: unit-variance noise per DUT element, per-user transmit
@@ -128,27 +109,33 @@ def sinr(h: np.ndarray, w: np.ndarray, snr_db: float,
     G = H @ W, user u sees rho*|G[u,u]|^2 of signal, rho*|G[v,u]|^2 of
     interference, and ||w_u||^2 of noise.
 
-    ``noise_norms`` overrides the per-column noise powers; the weight
-    error study passes the nominal (error-free) combiner norms so the
-    noise floor stays anchored while the errors distort the gains.
+    ``w`` is one (n_dut, 2) combiner, giving the pair of SINRs, or a
+    (m, n_dut, 2) batch, giving an (m, 2) array. ``noise_norms``
+    overrides the per-column noise powers; the weight error study passes
+    the nominal (error-free) combiner norms so the noise floor stays
+    anchored while the errors distort the gains.
     """
-    g = h @ w
+    w = np.asarray(w)
+    g = np.einsum('un,...nv->...uv', h, w)
     rho = 10.0 ** (snr_db / 10.0)
-    norms = np.sum(np.abs(w) ** 2, axis=0) if noise_norms is None else np.asarray(noise_norms)
+    norms = np.sum(np.abs(w) ** 2, axis=-2) if noise_norms is None else np.asarray(noise_norms)
     if np.any(norms == 0.0):
         raise ValueError("zero-norm combiner column")
-    out = []
-    for u in (0, 1):
-        v = 1 - u
-        out.append(rho * abs(g[u, u]) ** 2 / (rho * abs(g[v, u]) ** 2 + norms[u]))
-    return out[0], out[1]
+    gain = np.abs(g) ** 2
+    # user u: signal G[u, u], interference G[v, u] with v = 1 - u
+    out = rho * gain[..., [0, 1], [0, 1]] / (rho * gain[..., [1, 0], [0, 1]] + norms)
+    if w.ndim == 2:
+        return float(out[0]), float(out[1])
+    return out
 
 
-def sum_rate(sinr_pair: Sequence[float]) -> float:
-    """Aggregate spectral efficiency, bits/s/Hz."""
-    if min(sinr_pair) < 0:
+def sum_rate(sinr_pair):
+    """Aggregate spectral efficiency, bits/s/Hz: a float per SINR pair, m rates per (m, 2) batch."""
+    s = np.asarray(sinr_pair, dtype=float)
+    if np.any(s < 0):
         raise ValueError("SINR must be non-negative")
-    return float(sum(np.log2(1.0 + s) for s in sinr_pair))
+    rate = np.log2(1.0 + s).sum(axis=-1)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 @dataclass(frozen=True)
@@ -171,19 +158,6 @@ class SumRatePoint:
     snr_db: float
     sigma_dut_db: float
     avg_sum_rate: float
-
-
-def _batched_sum_rates(h: np.ndarray, w_batch: np.ndarray, snr_db: float,
-                       noise_norms: np.ndarray) -> np.ndarray:
-    """Sum rate per realization; w_batch has shape (m, n_dut, 2)."""
-    g = np.einsum('un,mnv->muv', h, w_batch)
-    rho = 10.0 ** (snr_db / 10.0)
-    sr = np.zeros(w_batch.shape[0])
-    for u in (0, 1):
-        v = 1 - u
-        s = rho * np.abs(g[:, u, u]) ** 2 / (rho * np.abs(g[:, v, u]) ** 2 + noise_norms[u])
-        sr += np.log2(1.0 + s)
-    return sr
 
 
 def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
@@ -222,7 +196,7 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
                     noise_norms = np.sum(np.abs(w) ** 2, axis=0)
                     w_batch = (1.0 + eps_batch) * w[None, :, :]
                     for snr in cfg.snr_db:
-                        avg = float(_batched_sum_rates(h, w_batch, snr, noise_norms).mean())
+                        avg = float(sum_rate(sinr(h, w_batch, snr, noise_norms)).mean())
                         results.append(SumRatePoint(layout.length, dist, alpha,
                                                     prec, snr, sigma, avg))
     return results

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from .field import ArrayLayout, WaveSpec, chamber_array
+from .field import WaveSpec, chamber_array
 from .testzone import (FomLimits, FomReport, TestZoneSpec, TIER1, TIER2, TIER3,
-                       build_mesh, field_over_mesh, fom_values, default_zone)
+                       build_mesh, field_over_mesh, fom_values)
 
 
 @dataclass(frozen=True)
@@ -17,8 +17,8 @@ class SweepGrid:
     """Cartesian (ies, D) grid, in meters, with the limit tiers to score.
 
     The distance axis must stay below half the Fraunhofer distance of the
-    shortest array, (99 * min_ies)^2 / lambda, so the sweep never claims
-    compliance where the setup is trivially far-field.
+    shortest array, ((n_elements - 1) * min_ies)^2 / lambda, so the sweep
+    never claims compliance where the setup is trivially far-field.
     """
 
     ies_values: Tuple[float, ...]
@@ -35,21 +35,21 @@ class SweepGrid:
         object.__setattr__(self, "ies_values", tuple(ies))
         object.__setattr__(self, "d_values", tuple(d))
 
-    def validate_cap(self, wave: WaveSpec) -> None:
+    def validate_cap(self, wave: WaveSpec, n_elements: int) -> None:
         lam = wave.wavelength
-        cap = (99.0 * min(self.ies_values)) ** 2 / lam
+        cap = ((n_elements - 1) * min(self.ies_values)) ** 2 / lam
         if max(self.d_values) > cap * (1.0 + 1e-12):
             raise ValueError(
                 f"max distance {max(self.d_values):.4g} m exceeds half-Fraunhofer cap {cap:.4g} m")
 
 
 def default_grid(wave: WaveSpec, d_step_lambda: float = 1.0) -> SweepGrid:
-    """Full study grid: ies 0.5..1.5 lambda step 0.05, D 40..2450 lambda."""
+    """Full 100-element study grid: ies 0.5..1.5 lambda step 0.05, D 40..2450 lambda."""
     lam = wave.wavelength
     ies = np.arange(0.5, 1.5 + 1e-9, 0.05) * lam
     d = np.arange(40.0, 2450.0 + 1e-9, d_step_lambda) * lam
     grid = SweepGrid(tuple(ies), tuple(d))
-    grid.validate_cap(wave)
+    grid.validate_cap(wave, n_elements=100)
     return grid
 
 

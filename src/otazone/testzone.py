@@ -9,8 +9,8 @@ circular phase range (degrees).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -94,25 +94,49 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
     return field_at_points(layout, wave, mesh.points)
 
 
+def _magnitudes_db(values: np.ndarray) -> np.ndarray:
+    """10*log10(|E|^2) per sample; both magnitude FoMs reduce this along axis 0."""
+    power = values.real ** 2 + values.imag ** 2
+    if np.any(power == 0.0):
+        raise ValueError("zero-magnitude sample; dB undefined")
+    return 10.0 * np.log10(power)
+
+
+def _circular_range(phases: np.ndarray) -> np.ndarray:
+    """circular_range_deg along axis 0 of phases in [0, 360), per column."""
+    if phases.shape[0] == 1:
+        return np.zeros(phases.shape[1:])
+    phases = np.sort(phases, axis=0)
+    gaps = np.diff(phases, axis=0).max(axis=0)
+    wrap = 360.0 - (phases[-1] - phases[0])
+    return np.minimum(360.0 - np.maximum(gaps, wrap), 180.0)
+
+
+def _worst_row_range(mesh: TestZoneMesh, values: np.ndarray) -> np.ndarray:
+    phases = np.degrees(np.arctan2(values.imag, values.real)) % 360.0
+    worst = np.zeros(phases.shape[1:])
+    for sl in mesh.row_slices:
+        row = phases[sl]
+        if row.shape[0] == 0:
+            raise ValueError("empty mesh row")
+        worst = np.maximum(worst, _circular_range(row))
+    return worst
+
+
 def r_mag(values: np.ndarray) -> float:
     """Dynamic range of the field magnitudes in dB."""
-    mags = np.abs(np.asarray(values))
-    if mags.size == 0:
+    values = np.ravel(values)
+    if values.size == 0:
         raise ValueError("need at least one sample")
-    if np.any(mags == 0.0):
-        raise ValueError("zero-magnitude sample; dB undefined")
-    db = 20.0 * np.log10(mags)
-    return float(db.max() - db.min())
+    return float(np.ptp(_magnitudes_db(values)))
 
 
 def sigma_mag(values: np.ndarray) -> float:
     """Sample standard deviation (divisor N-1) of the dB magnitudes."""
-    mags = np.abs(np.asarray(values))
-    if mags.size < 2:
+    values = np.ravel(values)
+    if values.size < 2:
         raise ValueError("need at least two samples")
-    if np.any(mags == 0.0):
-        raise ValueError("zero-magnitude sample; dB undefined")
-    return float(np.std(20.0 * np.log10(mags), ddof=1))
+    return float(np.std(_magnitudes_db(values), ddof=1))
 
 
 def circular_range_deg(phases_deg: np.ndarray) -> float:
@@ -122,27 +146,15 @@ def circular_range_deg(phases_deg: np.ndarray) -> float:
     180 degrees are clamped since that is the largest deviation that can
     physically occur.
     """
-    phases = np.sort(np.mod(np.asarray(phases_deg, dtype=float), 360.0))
+    phases = np.mod(np.ravel(np.asarray(phases_deg, dtype=float)), 360.0)
     if phases.size == 0:
         raise ValueError("empty phase row")
-    if phases.size == 1:
-        return 0.0
-    gaps = np.diff(phases)
-    wrap_gap = 360.0 - (phases[-1] - phases[0])
-    largest = max(gaps.max(), wrap_gap)
-    return float(min(360.0 - largest, 180.0))
+    return float(_circular_range(phases))
 
 
 def r_phs(mesh: TestZoneMesh, values: np.ndarray) -> float:
     """Worst-row circular phase range in degrees."""
-    values = np.asarray(values)
-    worst = 0.0
-    for sl in mesh.row_slices:
-        row = values[sl]
-        if row.size == 0:
-            raise ValueError("empty mesh row")
-        worst = max(worst, circular_range_deg(np.degrees(np.angle(row))))
-    return worst
+    return float(_worst_row_range(mesh, np.ravel(values)))
 
 
 @dataclass(frozen=True)
@@ -183,9 +195,21 @@ class FomReport:
         return FomReport(rm, sm, rp, passed=not failing, failing_foms=tuple(failing))
 
 
-def fom_values(mesh: TestZoneMesh, values: np.ndarray) -> Tuple[float, float, float]:
-    """(R_mag, sigma_mag, R_phs) of one field realization over the mesh."""
-    return r_mag(values), sigma_mag(values), r_phs(mesh, values)
+def fom_values(mesh: TestZoneMesh, values: np.ndarray):
+    """(R_mag, sigma_mag, R_phs) of field realizations over the mesh.
+
+    ``values`` is one realization, shape (n_points,), giving three floats,
+    or a batch, shape (n_points, batch), giving three arrays of length
+    batch. Each column is scored independently of the others.
+    """
+    values = np.asarray(values)
+    if values.shape[0] < 2:
+        raise ValueError("need at least two samples")
+    db = _magnitudes_db(values)
+    foms = (np.ptp(db, axis=0), db.std(axis=0, ddof=1), _worst_row_range(mesh, values))
+    if values.ndim == 1:
+        return tuple(float(f) for f in foms)
+    return foms
 
 
 def evaluate_fom(layout: ArrayLayout, wave: WaveSpec, spec: TestZoneSpec,

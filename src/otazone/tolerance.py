@@ -15,14 +15,14 @@ steps until a level fails; two level-fail rules are available:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .field import ArrayLayout, WaveSpec, chamber_array, element_fields
+from .field import WaveSpec, chamber_array, element_fields
 from .testzone import (FomLimits, TIER1, TestZoneMesh, TestZoneSpec,
-                       build_mesh)
+                       build_mesh, fom_values)
 
 FOM_ORDER = ("R_mag", "sigma_mag", "R_phs")
 
@@ -90,26 +90,7 @@ def level_fom_batch(contrib: np.ndarray, mesh: TestZoneMesh,
     matrix; ``eps`` is (n_elements, batch). Returns per-realization arrays
     (r_mag, sigma_mag, r_phs), each of length batch.
     """
-    values = contrib @ (1.0 + eps)
-    power = values.real ** 2 + values.imag ** 2
-    if np.any(power == 0.0):
-        raise ValueError("zero-magnitude sample; dB undefined")
-    db = 10.0 * np.log10(power)
-    rmag = db.max(axis=0) - db.min(axis=0)
-    smag = db.std(axis=0, ddof=1)
-
-    phases = np.degrees(np.arctan2(values.imag, values.real)) % 360.0
-    rphs = np.zeros(values.shape[1])
-    for sl in mesh.row_slices:
-        row = phases[sl]
-        if row.shape[0] == 1:
-            continue
-        row = np.sort(row, axis=0)
-        gaps = np.diff(row, axis=0).max(axis=0)
-        wrap = 360.0 - (row[-1] - row[0])
-        spread = np.minimum(360.0 - np.maximum(gaps, wrap), 180.0)
-        rphs = np.maximum(rphs, spread)
-    return rmag, smag, rphs
+    return fom_values(mesh, contrib @ (1.0 + eps))
 
 
 def _violations(rmag, smag, rphs, limits: FomLimits) -> np.ndarray:
@@ -129,33 +110,29 @@ def _draw_batch(model: ExcitationErrorModel, n_elements: int, seed: int,
     return eps
 
 
-def _level_violation_mask(contrib, mesh, model, cfg, level, n_elements) -> np.ndarray:
-    eps = _draw_batch(model, n_elements, cfg.rng_seed, level, 0, cfg.n_mc)
-    rmag, smag, rphs = level_fom_batch(contrib, mesh, eps)
-    return _violations(rmag, smag, rphs, cfg.limits)
+def _failing_level_counts(contrib, mesh, model, cfg, level,
+                          n_elements) -> Optional[np.ndarray]:
+    """Per-FoM violation counts over all n_mc realizations of a failing level.
 
-
-def _level_fails(contrib, mesh, model, cfg, level, n_elements) -> bool:
-    """Level decision with early exit; draws are identical either way.
-
-    Realization r of a level always comes from the stream keyed by
-    (seed, level, r), so chunked evaluation cannot change the outcome.
+    None as soon as the level can no longer fail. Each realization is
+    drawn and scored once; realization r always comes from the stream keyed
+    by (seed, level, r), so chunked evaluation cannot change the outcome.
     """
     need_fail = 1 if cfg.fail_rule == "any" else (cfg.n_mc + 1) // 2
+    counts = np.zeros(len(FOM_ORDER), dtype=int)
     failures = 0
     done = 0
     chunk = max(1, min(cfg.n_mc, 32))
     while done < cfg.n_mc:
+        if failures + (cfg.n_mc - done) < need_fail:
+            return None
         stop = min(done + chunk, cfg.n_mc)
         eps = _draw_batch(model, n_elements, cfg.rng_seed, level, done, stop)
-        rmag, smag, rphs = level_fom_batch(contrib, mesh, eps)
-        failures += int(_violations(rmag, smag, rphs, cfg.limits).any(axis=0).sum())
+        viol = _violations(*level_fom_batch(contrib, mesh, eps), cfg.limits)
+        counts += viol.sum(axis=1)
+        failures += int(viol.any(axis=0).sum())
         done = stop
-        if failures >= need_fail:
-            return True
-        if failures + (cfg.n_mc - done) < need_fail:
-            return False
-    return failures >= need_fail
+    return counts if failures >= need_fail else None
 
 
 def tolerance_search(ies: float, distance: float, wave: WaveSpec,
@@ -187,8 +164,7 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
 
     # Level 0 must pass with zero errors, otherwise tolerance is degenerate.
     zero = np.zeros((n_elements, 1), dtype=complex)
-    rmag, smag, rphs = level_fom_batch(contrib, mesh, zero)
-    base = _violations(rmag, smag, rphs, cfg.limits)
+    base = _violations(*level_fom_batch(contrib, mesh, zero), cfg.limits)
     if base.any():
         idx = int(np.argmax(base[:, 0]))
         return ToleranceResult(0.0, FOM_ORDER[idx], 0.0)
@@ -200,8 +176,7 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
         if sigma_db > cfg.max_sigma_db + 1e-12:
             return ToleranceResult((level - 1) * cfg.step_db, None, None, exceeded_cap=True)
         model = ExcitationErrorModel(sigma_db)
-        if _level_fails(contrib, mesh, model, cfg, level, n_elements):
-            viol = _level_violation_mask(contrib, mesh, model, cfg, level, n_elements)
-            counts = viol.sum(axis=1)
+        counts = _failing_level_counts(contrib, mesh, model, cfg, level, n_elements)
+        if counts is not None:
             failing = FOM_ORDER[int(np.argmax(counts))]
             return ToleranceResult((level - 1) * cfg.step_db, failing, sigma_db)

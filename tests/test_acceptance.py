@@ -15,16 +15,14 @@ import numpy as np
 import pytest
 
 from otazone import (TIER1, TIER2, TIER3, DutArraySpec, ExcitationErrorModel,
-                     StudyConfig, ToleranceSearchConfig, WaveSpec, alpha_min_deg,
+                     StudyConfig, ToleranceSearchConfig, alpha_min_deg,
                      build_channel, chamber_array, default_grid, evaluate_fom,
-                     field_over_mesh, mf_weights, run_study, sinr, sum_rate,
-                     tolerance_search, zf_weights)
+                     run_study, sinr, sum_rate, tolerance_search, zf_weights)
 from otazone.cli import main
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, build_mesh, circular_range_deg
-from otazone.tolerance import (FOM_ORDER, _draw_batch, _violations,
-                               level_fom_batch)
+from otazone.tolerance import _draw_batch, _violations, level_fom_batch
 
 from oracles import field_oracle, zf_oracle
 

@@ -60,10 +60,20 @@ class TestLoadConfig:
         {"geometries_lambda": [[0.7]]},
         {"geometries_lambda": [[-0.7, 591.0]]},
         {"dut_elements": 1},
+        {"n_elements": "100"},
+        {"n_mc_tolerance": 2.5},
+        {"limits": {"sigma_mag_db": 0.25}},
+        {"d_range_lambda": [2450.0, 40.0]},
     ])
     def test_invalid_values_rejected(self, patch):
         with pytest.raises(ConfigError):
             load_config(patch)
+
+    def test_non_object_rejected(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(path=str(p))
 
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -122,6 +132,16 @@ class TestCliFom:
                           config={"nonsense": 1})
         assert code == 1
 
+    @pytest.mark.parametrize("config, message", [
+        ({"n_elements": "100"}, "n_elements must be an integer"),
+        ({"d_range_lambda": [2450.0, 40.0]}, "d_range_lambda must be [lo, hi] with lo <= hi"),
+    ])
+    def test_bad_value_exits_with_message(self, tmp_path, capsys, config, message):
+        code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", "0.7", "--d-lambda", "591"],
+                          config=config)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_infeasible_geometry_exit_code(self, tmp_path):
         # D smaller than the zone radius violates the mesh precondition
         code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", "0.7",
@@ -146,6 +166,13 @@ class TestCliSweep:
     def test_cap_violation_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, ["sweep"],
                           config={"ies_lambda": [0.5], "d_lambda": [2451.0]})
+        assert code == 1
+
+    def test_cap_follows_n_elements(self, tmp_path):
+        # 40 elements at 0.5 lam: the cap is (39 * 0.5)^2 = 380.25 lam
+        code, _ = run_cli(tmp_path, ["sweep"],
+                          config={"n_elements": 40, "taper_edge": 10,
+                                  "ies_lambda": [0.5], "d_lambda": [1000.0]})
         assert code == 1
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from otazone import (DutArraySpec, StudyConfig, WaveSpec, alpha_min_deg,
+from otazone import (DutArraySpec, StudyConfig, alpha_min_deg,
                      build_channel, chamber_array, mf_weights, perturb_weights,
                      run_study, sinr, sum_rate, zf_weights)
-from otazone.precoding import _batched_sum_rates, interferer_elements
 
 from oracles import sinr_symbol_oracle, zf_oracle
 
@@ -40,24 +39,28 @@ class TestGeometry:
             alpha_min_deg(0.0, 1.0)
 
     def test_interferer_at_zero_angle_is_main_array(self, wave, lam):
-        layout = chamber_array(0.7 * lam)
-        xy = interferer_elements(layout, 591 * lam, 0.0)
-        assert xy[:, 0] == pytest.approx(layout.positions, rel=1e-12)
-        assert np.all(xy[:, 1] == 0.0)
+        for ies, d in ((0.7, 591), (1.35, 286)):
+            h = build_channel(chamber_array(ies * lam), d * lam, 0.0, DutArraySpec(), wave)
+            assert np.array_equal(h[0], h[1])
 
     def test_interferer_center_stays_on_circle(self, wave, lam):
+        # An interferer centered on the circle of radius D around the zone
+        # center and broadside to it sees the zone center (the middle DUT
+        # element) exactly as the main array does.
         layout = chamber_array(1.0 * lam)
         d = 469 * lam
+        mid = DutArraySpec().n_elements // 2
         for alpha in (5.0, 15.0, 40.0, 90.0):
-            xy = interferer_elements(layout, d, alpha)
-            center = xy.mean(axis=0)
-            dist = np.hypot(center[0], center[1] - d)
-            assert dist == pytest.approx(d, rel=1e-12)
-            # broadside orientation: array line perpendicular to the
-            # center-to-zone direction
-            along = xy[-1] - xy[0]
-            radial = np.array([0.0, d]) - center
-            assert abs(along @ radial) < 1e-6 * np.linalg.norm(along) * d
+            h = build_channel(layout, d, alpha, DutArraySpec(), wave)
+            assert h[1, mid] == pytest.approx(h[0, mid], rel=1e-9)
+            assert not np.allclose(h[1], h[0], rtol=1e-3)
+
+
+def direct_field(element_xy, taper, wave, points):
+    """Superposed field of isotropic elements at explicit coordinates."""
+    r = np.hypot(points[:, 0, None] - element_xy[None, :, 0],
+                 points[:, 1, None] - element_xy[None, :, 1])
+    return (taper * np.exp(-1j * wave.wavenumber * r) / (4 * np.pi * r)).sum(axis=1)
 
 
 class TestChannel:
@@ -71,6 +74,24 @@ class TestChannel:
         layout = chamber_array(0.7 * lam)
         h = build_channel(layout, 591 * lam, 0.0, DutArraySpec(), wave)
         assert h[0] == pytest.approx(h[1], rel=1e-12)
+
+    def test_interferer_row_matches_direct_superposition(self, wave, lam):
+        # the interferer's elements placed explicitly: center on the circle
+        # of radius D at angle alpha, array line perpendicular to the radius
+        layout = chamber_array(1.2 * lam)
+        d = 441 * lam
+        dut = DutArraySpec()
+        pts = dut.points(wave, d)
+        ma_xy = np.column_stack([layout.positions, np.zeros(layout.n_elements)])
+        want_ma = direct_field(ma_xy, layout.taper, wave, pts)
+        for alpha in (10.0, 33.0, 75.0):
+            a = np.radians(alpha)
+            center = np.array([d * np.sin(a), d * (1.0 - np.cos(a))])
+            ia_xy = center + layout.positions[:, None] * np.array([np.cos(a), np.sin(a)])
+            want = np.stack([want_ma, direct_field(ia_xy, layout.taper, wave, pts)])
+            want /= np.sqrt(np.mean(np.abs(want) ** 2))
+            h = build_channel(layout, d, alpha, dut, wave)
+            assert h == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_well_conditioned_at_study_angles(self, wave, lam):
         layout = chamber_array(0.7 * lam)
@@ -168,9 +189,19 @@ class TestSinr:
         w = zf_weights(h)
         noise = np.sum(np.abs(w) ** 2, axis=0)
         w_batch = np.stack([perturb_weights(w, 0.5, rng) for _ in range(5)])
-        got = _batched_sum_rates(h, w_batch, 10.0, noise)
-        want = [sum_rate(sinr(h, wb, 10.0, noise_norms=noise)) for wb in w_batch]
-        assert got == pytest.approx(want, rel=1e-12)
+        got = sinr(h, w_batch, 10.0, noise_norms=noise)
+        assert got.shape == (5, 2)
+        want = [sinr(h, wb, 10.0, noise_norms=noise) for wb in w_batch]
+        assert got == pytest.approx(np.array(want), rel=1e-12)
+        assert sum_rate(got) == pytest.approx([sum_rate(p) for p in want], rel=1e-12)
+
+    def test_batched_matches_symbol_oracle(self):
+        rng = np.random.default_rng(11)
+        h = random_channel(rng, n_rx=8)
+        w_batch = np.stack([perturb_weights(zf_weights(h), 1.0, rng) for _ in range(4)])
+        got = sinr(h, w_batch, 0.0)
+        want = sinr_symbol_oracle(h, w_batch[2], 0.0, n_symbols=400_000)
+        assert got[2] == pytest.approx(want, rel=0.02)
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from otazone import (TIER1, TIER2, TIER3, ComplianceMap, SweepGrid, WaveSpec,
+from otazone import (TIER1, ComplianceMap, SweepGrid,
                      compact_frontier, default_grid, run_sweep)
 from otazone.sweep import SweepCell
-from otazone.testzone import FomReport, TestZoneSpec, build_mesh, evaluate_fom
+from otazone.testzone import FomReport, TestZoneSpec, evaluate_fom
 from otazone import chamber_array
 
 FULL_R = lambda lam: 99.0 * lam / 8.0
@@ -29,11 +29,18 @@ class TestSweepGrid:
     def test_cap_rejects_far_field_distances(self, wave, lam):
         grid = SweepGrid((0.5 * lam,), (2451.0 * lam,))
         with pytest.raises(ValueError):
-            grid.validate_cap(wave)
+            grid.validate_cap(wave, 100)
 
     def test_cap_uses_shortest_array(self, wave, lam):
         # at ies = 1.0 lam the cap is 9801 lam, far above 2451 lam
-        SweepGrid((1.0 * lam,), (2451.0 * lam,)).validate_cap(wave)
+        SweepGrid((1.0 * lam,), (2451.0 * lam,)).validate_cap(wave, 100)
+
+    def test_cap_uses_array_length(self, wave, lam):
+        # 40 elements at 0.5 lam: cap (39 * 0.5)^2 = 380.25 lam
+        grid = SweepGrid((0.5 * lam,), (381.0 * lam,))
+        with pytest.raises(ValueError):
+            grid.validate_cap(wave, 40)
+        SweepGrid((0.5 * lam,), (380.0 * lam,)).validate_cap(wave, 40)
 
     def test_rejects_unsorted_axes(self, lam):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from otazone import (TIER1, TIER2, TIER3, TestZoneSpec, build_mesh, chamber_array,
                      evaluate_fom, field_over_mesh, r_mag, r_phs, sigma_mag)
-from otazone.testzone import FomLimits, FomReport, TestZoneMesh, circular_range_deg
+from otazone.testzone import FomLimits, FomReport, circular_range_deg, fom_values
 
 from oracles import circular_range_bruteforce
 
@@ -152,11 +152,38 @@ class TestPhaseRange:
         assert r_phs(mesh, rotated) == pytest.approx(r_phs(mesh, vals), abs=1e-8)
 
 
+class TestFomValuesBatch:
+    def test_columns_match_direct_statistics_and_bruteforce(self, wave, lam):
+        # each column against 20*log10|E| statistics and the brute-force
+        # circular range, computed without the library's kernel
+        mesh = build_mesh(TestZoneSpec(300 * lam, 1.5 * lam, lam / 8))
+        base = field_over_mesh(chamber_array(0.7 * lam), wave, mesh)
+        rng = np.random.default_rng(5)
+        batch = base[:, None] * (1.0 + 0.05 * (rng.standard_normal((mesh.n_points, 6)) +
+                                              1j * rng.standard_normal((mesh.n_points, 6))))
+        rm, sm, rp = fom_values(mesh, batch)
+        assert rm.shape == sm.shape == rp.shape == (6,)
+        for j in range(batch.shape[1]):
+            db = 20.0 * np.log10(np.abs(batch[:, j]))
+            phs = max(circular_range_bruteforce(np.degrees(np.angle(batch[sl, j])))
+                      for sl in mesh.row_slices)
+            assert rm[j] == pytest.approx(db.max() - db.min(), rel=1e-10)
+            assert sm[j] == pytest.approx(np.std(db, ddof=1), rel=1e-10)
+            assert rp[j] == pytest.approx(phs, abs=1e-9)
+
+    def test_one_realization_gives_floats(self, lam):
+        mesh = build_mesh(TestZoneSpec(100 * lam, lam / 2, lam / 8))
+        vals = np.exp(1j * np.linspace(0.0, 1.0, mesh.n_points))
+        foms = fom_values(mesh, vals)
+        assert all(type(f) is float for f in foms)
+        assert np.array(foms) == pytest.approx(
+            np.ravel(fom_values(mesh, vals[:, None])), rel=1e-12)
+
+
 class TestEvaluateFom:
     def test_synthetic_plane_wave_is_perfect(self, lam):
         mesh = build_mesh(TestZoneSpec(100 * lam, lam, lam / 8))
         vals = np.ones(mesh.n_points, dtype=complex)
-        from otazone.testzone import fom_values
         rm, sm, rp = fom_values(mesh, vals)
         assert (rm, sm, rp) == (0.0, 0.0, 0.0)
         rep = FomReport.from_values(rm, sm, rp, TIER3)
@@ -200,7 +227,6 @@ class TestFieldOverMesh:
 
     def test_fom_invariant_under_taper_scaling(self, wave, lam):
         from otazone.field import ArrayLayout
-        from otazone.testzone import fom_values
         base = chamber_array(0.7 * lam)
         scaled = ArrayLayout(100, 0.7 * lam, base.taper * 7.3)
         mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from otazone import (ExcitationErrorModel, FomLimits, ToleranceSearchConfig,
                      chamber_array, draw_errors, tolerance_search)
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, build_mesh, fom_values
-from otazone.tolerance import (FOM_ORDER, _draw_batch, level_fom_batch,
-                               _violations)
+from otazone import tolerance
+from otazone.tolerance import (FOM_ORDER, _draw_batch, _failing_level_counts,
+                               level_fom_batch, _violations)
 
 
 class TestErrorModel:
@@ -160,6 +163,39 @@ class TestToleranceSearch:
                                  ToleranceSearchConfig(limits=TIER3, **kw),
                                  tz_radius=2 * lam)
         assert tight.tolerated_sigma_db <= loose.tolerated_sigma_db
+
+    def test_each_realization_scored_once(self, wave, lam, monkeypatch):
+        scored = []
+
+        def counting(contrib, mesh, eps):
+            scored.append(eps.shape[1])
+            return level_fom_batch(contrib, mesh, eps)
+
+        monkeypatch.setattr(tolerance, "level_fom_batch", counting)
+        cfg = ToleranceSearchConfig(n_mc=70, rng_seed=0)
+        res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, tz_radius=2 * lam)
+        levels = round(res.failing_sigma_db / cfg.step_db)
+        # the zero-error check, then all n_mc realizations of every level
+        # up to and including the failing one
+        assert sum(scored) == 1 + levels * cfg.n_mc
+
+    def test_failing_level_counts_match_full_batch(self, wave, lam):
+        layout = chamber_array(0.7 * lam)
+        mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
+        contrib = element_fields(layout, wave, mesh.points)
+        cfg = ToleranceSearchConfig(n_mc=70, rng_seed=4, fail_rule="majority", step_db=0.05,
+                                    limits=FomLimits(0.05, 0.2, 2.0))
+        res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, tz_radius=2 * lam)
+        level = round(res.failing_sigma_db / cfg.step_db)
+        model = ExcitationErrorModel(res.failing_sigma_db)
+        eps = _draw_batch(model, 100, cfg.rng_seed, level, 0, cfg.n_mc)
+        want = _violations(*level_fom_batch(contrib, mesh, eps), cfg.limits).sum(axis=1)
+        for rule in ("any", "majority"):
+            counts = _failing_level_counts(contrib, mesh, model,
+                                           replace(cfg, fail_rule=rule), level, 100)
+            assert counts.tolist() == want.tolist()
+        assert _failing_level_counts(contrib, mesh, ExcitationErrorModel(res.tolerated_sigma_db),
+                                     cfg, level - 1, 100) is None
 
     def test_violation_mask_order(self):
         mask = _violations(np.array([2.0]), np.array([0.1]), np.array([20.0]),
