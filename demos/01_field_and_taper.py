@@ -12,22 +12,24 @@ Run:  python3 demos/01_field_and_taper.py
 
 import numpy as np
 
-from otazone import (TIER1, TIER2, TIER3, WaveSpec, chamber_array,
-                     default_zone, evaluate_fom, field_at_points)
+from otazone import (TIER1, TIER2, TIER3, ChamberSpec, WaveSpec, evaluate_fom,
+                     field_at_points)
 
 wave = WaveSpec()          # 28 GHz
 lam = wave.wavelength
-print(f"wavelength = {lam * 100:.4f} cm, test-zone radius = {99 * lam / 8 * 100:.4f} cm")
+chamber = ChamberSpec()    # 100 elements, 6 dB over 25, zone radius 99λ/8 at λ/8 pitch
+radius = chamber.tz_radius_lambda
+print(f"wavelength = {lam * 100:.4f} cm, test-zone radius = {radius * lam * 100:.4f} cm")
 
 # -- taper profile ---------------------------------------------------------
-layout = chamber_array(ies=0.7 * lam)
+layout = chamber.layout(0.7 * lam)
 db = 20 * np.log10(layout.taper)
 print("\nedge taper (dB), elements 1..25 (mirrored on the far end):")
 print(np.array2string(db[:25], precision=2, max_line_width=100))
 
 # -- field along the center row of the zone --------------------------------
 d = 591 * lam
-x = np.linspace(-99 / 8, 99 / 8, 199) * lam
+x = np.linspace(-radius, radius, 199) * lam
 pts = np.column_stack([x, np.full_like(x, d)])
 e = field_at_points(layout, wave, pts)
 mag_db = 20 * np.log10(np.abs(e))
@@ -38,8 +40,8 @@ print(f"\ncenter-row magnitude ripple at D = 591λ: "
 print("\n   IES      D      R_mag    sigma_mag   R_phs   tier1 tier2 tier3")
 for ies_lambda, d_lambda in ((1.35, 286), (1.2, 441), (1.0, 469),
                              (0.7, 564), (0.7, 591)):
-    pick = chamber_array(ies=ies_lambda * lam)
-    zone = default_zone(wave, d_lambda * lam)
+    pick = chamber.layout(ies_lambda * lam)
+    zone = chamber.zone(wave, d_lambda * lam)
     reps = [evaluate_fom(pick, wave, zone, tier) for tier in (TIER1, TIER2, TIER3)]
     r = reps[0]
     flags = "  ".join("ok " if rep.passed else "no " for rep in reps)

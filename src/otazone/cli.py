@@ -15,10 +15,9 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .field import chamber_array
 from .precoding import DutArraySpec, StudyConfig, run_study
 from .sweep import SweepGrid, run_sweep
-from .testzone import TIER1, TIER2, TIER3, TestZoneSpec, evaluate_fom
+from .testzone import TIER1, TIER2, TIER3, evaluate_fom
 from .tolerance import ToleranceSearchConfig, tolerance_search
 
 TIERS = {1: TIER1, 2: TIER2, 3: TIER3}
@@ -40,11 +39,8 @@ def cmd_fom(cfg: RunConfig, args, out: TextIO) -> None:
     ies = args.ies_lambda * lam
     d = args.d_lambda * lam
     limits = TIERS[args.tier] if args.tier else cfg.limits
-    layout = chamber_array(ies, cfg["n_elements"], cfg["taper_edge"],
-                           cfg["taper_depth_db"], cfg["taper_endpoint"])
-    spec = TestZoneSpec(distance=d, radius=cfg.tz_radius,
-                        pitch=cfg["mesh_pitch_lambda"] * lam)
-    rep = evaluate_fom(layout, cfg.wave, spec, limits)
+    layout = cfg.chamber.layout(ies)
+    rep = evaluate_fom(layout, cfg.wave, cfg.chamber.zone(cfg.wave, d), limits)
     row = ",".join([
         _fmt(args.ies_lambda), _fmt(layout.length / lam), _fmt(args.d_lambda),
         _fmt(rep.r_mag), _fmt(rep.sigma_mag), _fmt(rep.r_phs),
@@ -56,9 +52,8 @@ def cmd_fom(cfg: RunConfig, args, out: TextIO) -> None:
 def cmd_sweep(cfg: RunConfig, args, out: TextIO) -> None:
     lam = cfg.wavelength
     grid = SweepGrid(tuple(cfg.ies_values), tuple(cfg.d_values))
-    grid.validate_cap(cfg.wave, cfg["n_elements"])
-    cmap = run_sweep(grid, cfg.wave, cfg.tz_radius, cfg["n_elements"],
-                     cfg["taper_edge"], cfg["taper_depth_db"], cfg["taper_endpoint"])
+    grid.validate_cap(cfg.wave, cfg.chamber.n_elements)
+    cmap = run_sweep(grid, cfg.wave, cfg.chamber)
     rows = []
     for c in cmap.cells:
         rows.append(",".join([
@@ -79,13 +74,10 @@ def cmd_tolerance(cfg: RunConfig, args, out: TextIO) -> None:
                                  fail_rule=cfg["tolerance_fail_rule"])
     rows = []
     for ies, d in cfg.geometries:
-        res = tolerance_search(ies, d, cfg.wave, scfg, cfg["n_elements"],
-                               cfg["taper_edge"], cfg["taper_depth_db"],
-                               tz_radius=cfg.tz_radius,
-                               taper_endpoint=cfg["taper_endpoint"])
+        res = tolerance_search(ies, d, cfg.wave, scfg, cfg.chamber)
         fom = res.first_failing_fom if res.first_failing_fom else "exceeds_cap"
         rows.append(",".join([
-            _fmt((cfg["n_elements"] - 1) * ies / lam), _fmt(ies / lam), _fmt(d / lam),
+            _fmt((cfg.chamber.n_elements - 1) * ies / lam), _fmt(ies / lam), _fmt(d / lam),
             _fmt(res.tolerated_sigma_db), fom,
             str(cfg["n_mc_tolerance"]), str(cfg["seed"])]))
     _emit(out, cfg, "L_lambda,ies_lambda,D_lambda,tolerated_sigma_db,failing_fom,n_mc,seed",
@@ -94,14 +86,12 @@ def cmd_tolerance(cfg: RunConfig, args, out: TextIO) -> None:
 
 def cmd_precode(cfg: RunConfig, args, out: TextIO) -> None:
     lam = cfg.wavelength
-    dut = DutArraySpec(n_elements=cfg["dut_elements"],
-                       ies=cfg["dut_ies_lambda"] * lam)
+    dut = DutArraySpec(n_elements=cfg["dut_elements"], ies_lambda=cfg["dut_ies_lambda"])
     study = StudyConfig(snr_db=tuple(cfg["snr_db"]),
                         sigma_dut_db=tuple(cfg["sigma_dut_db"]),
                         alpha_offsets_deg=tuple(cfg["alpha_offsets_deg"]),
                         n_mc=cfg["n_mc_precode"], rng_seed=cfg["seed"], dut=dut)
-    points = run_study(cfg.geometries, cfg.wave, study,
-                       taper_endpoint=cfg["taper_endpoint"])
+    points = run_study(cfg.geometries, cfg.wave, study, cfg.chamber)
     rows = [",".join([
         _fmt(p.length / lam), _fmt(p.distance / lam), _fmt(p.alpha_deg), p.precoder,
         _fmt(p.snr_db), _fmt(p.sigma_dut_db), format(p.avg_sum_rate, ".8f"),

@@ -10,44 +10,47 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .field import WaveSpec
-from .testzone import FomLimits
+from .precoding import StudyConfig
+from .testzone import TIER1, ChamberSpec, FomLimits
+from .tolerance import ToleranceSearchConfig
 
 # Table of the five compact (ies, D) picks, in wavelengths.
 DEFAULT_GEOMETRIES_LAMBDA: Tuple[Tuple[float, float], ...] = (
     (1.35, 286.0), (1.2, 441.0), (1.0, 469.0), (0.7, 564.0), (0.7, 591.0))
 
+# Library defaults own every value they share with the config; the sweep
+# grid axes and the geometry table are the config's own.
+_TOL = ToleranceSearchConfig()
+_STUDY = StudyConfig()
 _DEFAULTS: Dict[str, object] = {
-    "frequency_hz": 28e9,
-    "n_elements": 100,
-    "taper_edge": 25,
-    "taper_depth_db": -6.0,
-    "taper_endpoint": "exclusive",
-    "tz_radius_lambda": 99.0 / 8.0,
-    "mesh_pitch_lambda": 1.0 / 8.0,
+    "frequency_hz": WaveSpec().frequency,
+    **asdict(ChamberSpec()),
     "ies_lambda": [round(x, 10) for x in np.arange(0.5, 1.5 + 1e-9, 0.05)],
     "d_lambda": None,  # derived from d_range_lambda/d_step_lambda when absent
     "d_range_lambda": [40.0, 2450.0],
     "d_step_lambda": 1.0,
     "geometries_lambda": [list(g) for g in DEFAULT_GEOMETRIES_LAMBDA],
-    "limits": {"sigma_mag_db": 0.25, "r_mag_db": 1.0, "r_phs_deg": 10.0},
-    "sigma_step_db": 0.01,
-    "n_mc_tolerance": 100,
-    "tolerance_fail_rule": "any",
-    "max_sigma_db": 2.0,
-    "snr_db": [-10.0, 0.0, 10.0, 20.0],
-    "sigma_dut_db": [round(x, 10) for x in np.arange(0.0, 2.0 + 1e-9, 0.1)],
-    "alpha_offsets_deg": [0.0, 15.0],
-    "n_mc_precode": 1000,
-    "dut_elements": 49,
-    "dut_ies_lambda": 0.5,
-    "seed": 0,
+    "limits": {"sigma_mag_db": TIER1.sigma_mag_max, "r_mag_db": TIER1.r_mag_max,
+               "r_phs_deg": TIER1.r_phs_max},
+    "sigma_step_db": _TOL.step_db,
+    "n_mc_tolerance": _TOL.n_mc,
+    "tolerance_fail_rule": _TOL.fail_rule,
+    "max_sigma_db": _TOL.max_sigma_db,
+    "snr_db": list(_STUDY.snr_db),
+    "sigma_dut_db": [float(x) for x in _STUDY.sigma_dut_db],
+    "alpha_offsets_deg": list(_STUDY.alpha_offsets_deg),
+    "n_mc_precode": _STUDY.n_mc,
+    "dut_elements": _STUDY.dut.n_elements,
+    "dut_ies_lambda": _STUDY.dut.ies_lambda,
+    "seed": _TOL.rng_seed,
 }
+_CHAMBER_KEYS = tuple(asdict(ChamberSpec()))
 
 
 class ConfigError(ValueError):
@@ -57,6 +60,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     raw: Dict[str, object]
+    chamber: ChamberSpec
 
     def __getitem__(self, key: str):
         return self.raw[key]
@@ -68,10 +72,6 @@ class RunConfig:
     @property
     def wavelength(self) -> float:
         return self.wave.wavelength
-
-    @property
-    def tz_radius(self) -> float:
-        return float(self.raw["tz_radius_lambda"]) * self.wavelength
 
     @property
     def ies_values(self) -> List[float]:
@@ -140,17 +140,6 @@ def _validate(cfg: Dict[str, object]) -> None:
     _check_types(cfg)
     if cfg["frequency_hz"] <= 0:
         fail("frequency_hz must be positive")
-    n = cfg["n_elements"]
-    if n < 1:
-        fail("n_elements must be >= 1")
-    if 2 * cfg["taper_edge"] > n:
-        fail(f"taper_edge={cfg['taper_edge']}: 2*taper_edge exceeds n_elements={n}")
-    if cfg["taper_depth_db"] > 0:
-        fail("taper_depth_db must be <= 0")
-    if cfg["taper_endpoint"] not in ("inclusive", "exclusive"):
-        fail("taper_endpoint must be 'inclusive' or 'exclusive'")
-    if cfg["tz_radius_lambda"] <= 0 or cfg["mesh_pitch_lambda"] <= 0:
-        fail("tz_radius_lambda and mesh_pitch_lambda must be positive")
     ies = list(cfg["ies_lambda"])
     if not ies or any(b <= a for a, b in zip(ies, ies[1:])):
         fail("ies_lambda must be non-empty and strictly increasing")
@@ -169,7 +158,7 @@ def _validate(cfg: Dict[str, object]) -> None:
     if cfg["tolerance_fail_rule"] not in ("any", "majority"):
         fail("tolerance_fail_rule must be 'any' or 'majority'")
     lim = cfg["limits"]
-    extra = set(lim) - {"sigma_mag_db", "r_mag_db", "r_phs_deg"}
+    extra = set(lim) - set(_DEFAULTS["limits"])
     if extra:
         fail(f"unknown limit keys: {sorted(extra)}")
     for g in cfg["geometries_lambda"]:
@@ -207,4 +196,9 @@ def load_config(data: Optional[Dict[str, object]] = None,
         else:
             merged[key] = default
     _validate(merged)
-    return RunConfig(raw=merged)
+    try:
+        chamber = ChamberSpec(**{k: merged[k] for k in _CHAMBER_KEYS})
+    except ValueError as exc:
+        keys = ", ".join(f"{k}={merged[k]!r}" for k in _CHAMBER_KEYS)
+        raise ConfigError(f"bad chamber ({keys}): {exc}") from exc
+    return RunConfig(raw=merged, chamber=chamber)

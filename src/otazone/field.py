@@ -111,12 +111,6 @@ class ArrayLayout:
         return ArrayLayout(self.n_elements, self.ies, self.taper, errors)
 
 
-def chamber_array(ies: float, n_elements: int = 100, n_edge: int = 25,
-                  depth_db: float = -6.0, endpoint: str = "exclusive") -> ArrayLayout:
-    """Standard chamber array: 100 elements with a -6 dB edge taper over 25."""
-    return ArrayLayout(n_elements, ies, make_taper(n_elements, n_edge, depth_db, endpoint))
-
-
 def element_fields(layout: ArrayLayout, wave: WaveSpec,
                    points: np.ndarray) -> np.ndarray:
     """Per-element field contributions t_i * exp(-j*k*r_i) / (4*pi*r_i).

@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import ArrayLayout, WaveSpec, chamber_array, field_at_points
+from .field import ArrayLayout, WaveSpec, field_at_points
+from .testzone import ChamberSpec
 from .tolerance import ExcitationErrorModel, draw_errors
 
 
@@ -23,14 +24,14 @@ class DutArraySpec:
     """Uniform linear receive array centered in the test zone, parallel to x."""
 
     n_elements: int = 49
-    ies: float = 0.0  # meters; 0 means half-wavelength at build time
+    ies_lambda: float = 0.5
 
     def __post_init__(self):
         if self.n_elements < 2:
             raise ValueError("DUT needs at least 2 elements")
 
     def spacing(self, wave: WaveSpec) -> float:
-        return self.ies if self.ies > 0 else wave.wavelength / 2.0
+        return self.ies_lambda * wave.wavelength
 
     def points(self, wave: WaveSpec, center_distance: float) -> np.ndarray:
         d = self.spacing(wave)
@@ -161,7 +162,7 @@ class SumRatePoint:
 
 
 def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
-              cfg: StudyConfig, taper_endpoint: str = "exclusive") -> List[SumRatePoint]:
+              cfg: StudyConfig, chamber: ChamberSpec = ChamberSpec()) -> List[SumRatePoint]:
     """Average sum rate over weight-error realizations for each study cell.
 
     ``geometries`` holds (ies, D) pairs in meters. The unperturbed W is
@@ -174,7 +175,7 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
     """
     results: List[SumRatePoint] = []
     for gi, (ies, dist) in enumerate(geometries):
-        layout = chamber_array(ies, endpoint=taper_endpoint)
+        layout = chamber.layout(ies)
         a_min = alpha_min_deg(layout.length, dist)
         for ai, off in enumerate(cfg.alpha_offsets_deg):
             alpha = a_min + off

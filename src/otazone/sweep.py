@@ -7,8 +7,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .field import WaveSpec, chamber_array
-from .testzone import (FomLimits, FomReport, TestZoneSpec, TIER1, TIER2, TIER3,
+from .field import WaveSpec
+from .testzone import (ChamberSpec, FomLimits, FomReport, TIER1, TIER2, TIER3,
                        build_mesh, field_over_mesh, fom_values)
 
 
@@ -43,16 +43,6 @@ class SweepGrid:
                 f"max distance {max(self.d_values):.4g} m exceeds half-Fraunhofer cap {cap:.4g} m")
 
 
-def default_grid(wave: WaveSpec, d_step_lambda: float = 1.0) -> SweepGrid:
-    """Full 100-element study grid: ies 0.5..1.5 lambda step 0.05, D 40..2450 lambda."""
-    lam = wave.wavelength
-    ies = np.arange(0.5, 1.5 + 1e-9, 0.05) * lam
-    d = np.arange(40.0, 2450.0 + 1e-9, d_step_lambda) * lam
-    grid = SweepGrid(tuple(ies), tuple(d))
-    grid.validate_cap(wave, n_elements=100)
-    return grid
-
-
 @dataclass(frozen=True)
 class SweepCell:
     ies: float
@@ -76,29 +66,29 @@ class ComplianceMap:
         raise KeyError(f"no cell at (ies={ies}, d={d})")
 
 
-def run_sweep(grid: SweepGrid, wave: WaveSpec, tz_radius: float,
-              n_elements: int = 100, n_edge: int = 25, depth_db: float = -6.0,
-              taper_endpoint: str = "exclusive") -> ComplianceMap:
+def run_sweep(grid: SweepGrid, wave: WaveSpec,
+              chamber: ChamberSpec = ChamberSpec()) -> ComplianceMap:
     """Evaluate the FoM once per (ies, D) cell and score every tier.
 
     The field is computed with zero excitation errors, so the map is
     deterministic. A failure inside any cell aborts the sweep with the
-    offending coordinates attached.
+    offending coordinates attached: a ValueError (bad input, such as a
+    zone that crosses the array line) stays a ValueError, anything else
+    becomes a RuntimeError.
     """
     cells: List[SweepCell] = []
     for ies in grid.ies_values:
-        layout = chamber_array(ies, n_elements, n_edge, depth_db, taper_endpoint)
+        layout = chamber.layout(ies)
         for d in grid.d_values:
             try:
-                spec = TestZoneSpec(distance=d, radius=tz_radius,
-                                    pitch=wave.wavelength / 8.0)
-                mesh = build_mesh(spec)
+                mesh = build_mesh(chamber.zone(wave, d))
                 values = field_over_mesh(layout, wave, mesh)
                 rm, sm, rp = fom_values(mesh, values)
             except Exception as exc:
-                raise RuntimeError(f"sweep cell (ies={ies}, d={d}) failed: {exc}") from exc
+                kind = ValueError if isinstance(exc, ValueError) else RuntimeError
+                raise kind(f"sweep cell (ies={ies}, d={d}) failed: {exc}") from exc
             reports = tuple(FomReport.from_values(rm, sm, rp, tier) for tier in grid.tiers)
-            cells.append(SweepCell(ies, d, (n_elements - 1) * ies, rm, sm, rp, reports))
+            cells.append(SweepCell(ies, d, layout.length, rm, sm, rp, reports))
     return ComplianceMap(grid=grid, cells=tuple(cells))
 
 

@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .field import ArrayLayout, WaveSpec, field_at_points
+from .field import ArrayLayout, WaveSpec, field_at_points, make_taper
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,42 @@ class TestZoneSpec:
             raise ValueError("test zone must not intersect the array line (D > R)")
 
 
-def default_zone(wave: WaveSpec, distance: float) -> TestZoneSpec:
-    """Standard zone: radius 99*lambda/8 sampled at lambda/8 pitch."""
-    lam = wave.wavelength
-    return TestZoneSpec(distance=distance, radius=99.0 * lam / 8.0, pitch=lam / 8.0)
+@dataclass(frozen=True)
+class ChamberSpec:
+    """The chamber of every study: a tapered linear array and its test zone.
+
+    Field names are the config keys. The defaults are the standard
+    chamber: 100 elements with a -6 dB edge taper over 25 on each side,
+    and a zone of radius 99*lambda/8 sampled at lambda/8 pitch.
+    """
+
+    n_elements: int = 100
+    taper_edge: int = 25
+    taper_depth_db: float = -6.0
+    taper_endpoint: str = "exclusive"
+    tz_radius_lambda: float = 99.0 / 8.0
+    mesh_pitch_lambda: float = 1.0 / 8.0
+
+    def __post_init__(self):
+        if self.n_elements < 1:
+            raise ValueError("n_elements must be >= 1")
+        self._taper()
+        if self.tz_radius_lambda <= 0 or self.mesh_pitch_lambda <= 0:
+            raise ValueError("tz_radius_lambda and mesh_pitch_lambda must be positive")
+
+    def _taper(self) -> np.ndarray:
+        return make_taper(self.n_elements, self.taper_edge, self.taper_depth_db,
+                          self.taper_endpoint)
+
+    def layout(self, ies: float) -> ArrayLayout:
+        """The chamber array at inter-element spacing ``ies`` (meters)."""
+        return ArrayLayout(self.n_elements, ies, self._taper())
+
+    def zone(self, wave: WaveSpec, distance: float) -> TestZoneSpec:
+        """The test zone centered at (0, distance), in meters."""
+        lam = wave.wavelength
+        return TestZoneSpec(distance=distance, radius=self.tz_radius_lambda * lam,
+                            pitch=self.mesh_pitch_lambda * lam)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .field import WaveSpec, chamber_array, element_fields
-from .testzone import (FomLimits, TIER1, TestZoneMesh, TestZoneSpec,
-                       build_mesh, fom_values)
+from .field import WaveSpec, element_fields
+from .testzone import ChamberSpec, FomLimits, TIER1, TestZoneMesh, build_mesh, fom_values
 
 FOM_ORDER = ("R_mag", "sigma_mag", "R_phs")
 
@@ -137,14 +136,13 @@ def _failing_level_counts(contrib, mesh, model, cfg, level,
 
 def tolerance_search(ies: float, distance: float, wave: WaveSpec,
                      cfg: ToleranceSearchConfig,
-                     n_elements: int = 100, n_edge: int = 25,
-                     depth_db: float = -6.0,
-                     tz_radius: Optional[float] = None,
-                     taper_endpoint: str = "exclusive") -> ToleranceResult:
+                     chamber: ChamberSpec = ChamberSpec()) -> ToleranceResult:
     """Largest error deviation (dB) the geometry tolerates at every FoM.
 
-    The deviation starts at one step and increases stepwise; each level
-    runs ``n_mc`` fresh realizations and fails per ``cfg.fail_rule``.
+    ``chamber`` gives the array at spacing ``ies`` and the test zone at
+    ``distance``. The deviation starts at one step and increases
+    stepwise; each level runs ``n_mc`` fresh realizations and fails per
+    ``cfg.fail_rule``.
     Realization streams are keyed by (seed, level index, realization
     index), so results are independent of evaluation order, chunking, and
     thread count.
@@ -154,13 +152,9 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     (ties broken in the order R_mag, sigma_mag, R_phs). If nothing fails
     up to ``max_sigma_db`` the result is flagged as exceeding the cap.
     """
-    layout = chamber_array(ies, n_elements, n_edge, depth_db, taper_endpoint)
-    if tz_radius is None:
-        tz_radius = 99.0 * wave.wavelength / 8.0
-    spec = TestZoneSpec(distance=distance, radius=tz_radius,
-                        pitch=wave.wavelength / 8.0)
-    mesh = build_mesh(spec)
-    contrib = element_fields(layout, wave, mesh.points)
+    n_elements = chamber.n_elements
+    mesh = build_mesh(chamber.zone(wave, distance))
+    contrib = element_fields(chamber.layout(ies), wave, mesh.points)
 
     # Level 0 must pass with zero errors, otherwise tolerance is degenerate.
     zero = np.zeros((n_elements, 1), dtype=complex)

@@ -14,10 +14,11 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from otazone import (TIER1, TIER2, TIER3, DutArraySpec, ExcitationErrorModel,
-                     StudyConfig, ToleranceSearchConfig, alpha_min_deg,
-                     build_channel, chamber_array, default_grid, evaluate_fom,
-                     run_study, sinr, sum_rate, tolerance_search, zf_weights)
+from otazone import (TIER1, TIER2, TIER3, ChamberSpec, DutArraySpec,
+                     ExcitationErrorModel, StudyConfig, SweepGrid,
+                     ToleranceSearchConfig, alpha_min_deg, build_channel,
+                     evaluate_fom, load_config, run_study, sinr, sum_rate,
+                     tolerance_search, zf_weights)
 from otazone.cli import main
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
@@ -46,7 +47,7 @@ def test_acceptance_1_marked_geometries(wave, lam, report):
     results, timings = [], []
     for (ies, d), tier in cases:
         spec = TestZoneSpec(d * lam, 99 * lam / 8, lam / 8)
-        layout = chamber_array(ies * lam)
+        layout = ChamberSpec().layout(ies * lam)
         best = np.inf
         for _ in range(2):  # best-of-2 damps scheduler noise
             t0 = time.perf_counter()
@@ -70,7 +71,9 @@ def test_acceptance_2_radius_constant(wave, lam, report):
 
 def test_acceptance_3_sweep_cap(wave, lam, report):
     cap_lambda = (99.0 * 0.5) ** 2  # half of 2(49.5λ)²/λ, in wavelengths
-    grid = default_grid(wave)
+    cfg = load_config()
+    grid = SweepGrid(tuple(cfg.ies_values), tuple(cfg.d_values))
+    grid.validate_cap(wave, cfg.chamber.n_elements)
     top = max(grid.d_values) / lam
     ok = abs(cap_lambda - 2450.25) < 1e-9 and abs(top - 2450.0) < 1e-6
     report(3, ok, f"half-Fraunhofer cap {cap_lambda}λ, default D grid tops at {top:g}λ")
@@ -103,7 +106,7 @@ def test_acceptance_4_tolerance_regression(wave, lam, report):
         # threshold with n_mc = 500 at levels s and s + 5 steps.
         mono = []
         for (ies, d), s_db in zip(DEFAULT_GEOMETRIES_LAMBDA, means):
-            layout = chamber_array(ies * lam)
+            layout = ChamberSpec().layout(ies * lam)
             mesh = build_mesh(TestZoneSpec(d * lam, 99 * lam / 8, lam / 8))
             contrib = element_fields(layout, wave, mesh.points)
             step = 0.01
@@ -130,7 +133,7 @@ def test_acceptance_4_tolerance_regression(wave, lam, report):
 def study_channels(wave, lam):
     out = []
     for ies, d in DEFAULT_GEOMETRIES_LAMBDA:
-        layout = chamber_array(ies * lam)
+        layout = ChamberSpec().layout(ies * lam)
         a_min = alpha_min_deg(layout.length, d * lam)
         for off in (0.0, 15.0):
             out.append(((ies, d, off),
@@ -184,7 +187,7 @@ def test_acceptance_6_weight_error_study(wave, lam, report):
 
 def test_acceptance_7_oracle_equivalence(wave, lam, report):
     rng = np.random.default_rng(2024)
-    layout = chamber_array(0.7 * lam)
+    layout = ChamberSpec().layout(0.7 * lam)
     pts_lambda = np.column_stack([rng.uniform(-12.375, 12.375, 100),
                                   rng.uniform(400.0, 800.0, 100)])
     from otazone import field_at

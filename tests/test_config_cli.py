@@ -14,7 +14,8 @@ class TestLoadConfig:
         assert cfg["frequency_hz"] == 28e9
         assert cfg["n_elements"] == 100
         assert cfg.wavelength == pytest.approx(299792458.0 / 28e9, rel=1e-15)
-        assert cfg.tz_radius == pytest.approx(99 / 8 * cfg.wavelength, rel=1e-12)
+        zone = cfg.chamber.zone(cfg.wave, 591 * cfg.wavelength)
+        assert zone.radius == pytest.approx(99 / 8 * cfg.wavelength, rel=1e-12)
         assert [round(g[0], 2) for g in cfg["geometries_lambda"]] == [1.35, 1.2, 1.0, 0.7, 0.7]
 
     def test_default_d_axis_range(self):
@@ -51,6 +52,9 @@ class TestLoadConfig:
         {"taper_edge": 60},
         {"taper_depth_db": 3.0},
         {"taper_endpoint": "both"},
+        {"taper_edge": -1},
+        {"mesh_pitch_lambda": 0.0},
+        {"tz_radius_lambda": -1.0},
         {"ies_lambda": [0.7, 0.5]},
         {"ies_lambda": []},
         {"d_lambda": [200.0, 100.0]},
@@ -175,6 +179,13 @@ class TestCliSweep:
                                   "ies_lambda": [0.5], "d_lambda": [1000.0]})
         assert code == 1
 
+    def test_zone_crossing_array_line_exit_code(self, tmp_path, capsys):
+        # D = 10 lam is inside the 99/8 lam zone radius: bad input, not a numerical failure
+        code, _ = run_cli(tmp_path, ["sweep"],
+                          config={"ies_lambda": [0.7], "d_lambda": [10.0]})
+        assert code == 1
+        assert "sweep cell" in capsys.readouterr().err
+
 
 class TestCliTolerance:
     CFG = {"geometries_lambda": [[0.7, 591.0]], "n_mc_tolerance": 3,
@@ -218,3 +229,34 @@ class TestCliPrecode:
         _, a = run_cli(tmp_path, ["precode"], name="a.csv", config=self.CFG)
         _, b = run_cli(tmp_path, ["precode"], name="b.csv", config=self.CFG)
         assert a == b
+
+
+class TestChamberKeys:
+    """Every chamber key changes the output of every subcommand that reads it."""
+
+    # One near-field geometry, (0.5 lam, 100 lam), for every subcommand. The
+    # tolerance search steps by 0.001 dB so that its single output number,
+    # the tolerated deviation, moves with the zone sampling too.
+    BASE = {"tz_radius_lambda": 2.0, "ies_lambda": [0.5], "d_lambda": [100.0],
+            "geometries_lambda": [[0.5, 100.0]], "n_mc_tolerance": 3,
+            "sigma_step_db": 0.001, "n_mc_precode": 4, "sigma_dut_db": [0.0, 1.0],
+            "snr_db": [10.0], "alpha_offsets_deg": [0.0]}
+    ARGV = {"fom": ["fom", "--ies-lambda", "0.5", "--d-lambda", "100"],
+            "sweep": ["sweep"], "tolerance": ["tolerance"], "precode": ["precode"]}
+    ARRAY_KEYS = ({"n_elements": 40, "taper_edge": 10}, {"taper_depth_db": -3.0},
+                  {"taper_endpoint": "inclusive"})
+    ZONE_KEYS = ({"mesh_pitch_lambda": 0.25}, {"tz_radius_lambda": 3.0})
+    READS = {"fom": ARRAY_KEYS + ZONE_KEYS, "sweep": ARRAY_KEYS + ZONE_KEYS,
+             "tolerance": ARRAY_KEYS + ZONE_KEYS, "precode": ARRAY_KEYS}
+
+    @pytest.mark.parametrize("command", ["fom", "sweep", "tolerance", "precode"])
+    def test_key_changes_rows(self, tmp_path, command):
+        def rows(patch, name):
+            code, data = run_cli(tmp_path, self.ARGV[command], name=name,
+                                 config={**self.BASE, **patch})
+            assert code == 0, patch
+            return data.decode().splitlines()[2:]
+
+        base = rows({}, "base.csv")
+        for i, patch in enumerate(self.READS[command]):
+            assert rows(patch, f"p{i}.csv") != base, patch

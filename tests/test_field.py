@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otazone import ArrayLayout, WaveSpec, chamber_array, field_at, field_at_points, make_taper
+from otazone import ArrayLayout, ChamberSpec, WaveSpec, field_at, field_at_points, make_taper
 from otazone.field import element_fields
 
 from oracles import field_oracle, taper_db_oracle
@@ -65,26 +65,26 @@ class TestFieldAt:
         assert field_at(layout, wave, (0.0, y)) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_high_precision_oracle_at_tz_center(self, wave, lam):
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         got = field_at(layout, wave, (0.0, 591 * lam))
         want = field_oracle(wave.frequency, 0.7, layout.taper, (0.0, 591.0))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_frozen_regression_fixture(self, wave, lam):
         # mpmath 40-digit summation, default (exclusive) taper, TZ center at 591 lam
-        got = field_at(chamber_array(0.7 * lam), wave, (0.0, 591 * lam))
+        got = field_at(ChamberSpec().layout(0.7 * lam), wave, (0.0, 591 * lam))
         assert got.real == pytest.approx(0.32963981873099670721, rel=1e-10)
         assert got.imag == pytest.approx(-0.28440683834698273669, rel=1e-10)
 
     def test_rejects_point_on_element(self, wave, lam):
-        layout = chamber_array(0.5 * lam)
+        layout = ChamberSpec().layout(0.5 * lam)
         with pytest.raises(ValueError):
             field_at(layout, wave, (layout.positions[3], 0.0))
 
     def test_excitation_errors_enter_linearly(self, wave, lam):
         rng = np.random.default_rng(5)
         err = (rng.standard_normal(100) + 1j * rng.standard_normal(100)) * 0.1
-        base = chamber_array(1.0 * lam)
+        base = ChamberSpec().layout(1.0 * lam)
         pts = np.column_stack([rng.uniform(-10, 10, 20) * lam,
                                rng.uniform(100, 300, 20) * lam])
         with_err = field_at_points(base.with_errors(err), wave, pts)
@@ -94,7 +94,7 @@ class TestFieldAt:
 
 class TestFieldProperties:
     def test_mirror_symmetry(self, wave, lam):
-        layout = chamber_array(0.8 * lam)
+        layout = ChamberSpec().layout(0.8 * lam)
         for x, y in [(3.7, 120.0), (11.2, 410.5), (0.9, 55.0)]:
             left = field_at(layout, wave, (-x * lam, y * lam))
             right = field_at(layout, wave, (x * lam, y * lam))
@@ -102,7 +102,7 @@ class TestFieldProperties:
             assert np.angle(left) == pytest.approx(np.angle(right), abs=1e-10)
 
     def test_far_field_phase_flattens(self, wave, lam):
-        layout = chamber_array(0.5 * lam)
+        layout = ChamberSpec().layout(0.5 * lam)
         y = 1e6 * lam
         k = wave.wavenumber
         phases = []
@@ -127,7 +127,7 @@ class TestFieldProperties:
     def test_real_scaling(self, scale):
         wave = WaveSpec()
         lam = wave.wavelength
-        base = chamber_array(0.6 * lam)
+        base = ChamberSpec().layout(0.6 * lam)
         scaled = ArrayLayout(100, 0.6 * lam, base.taper * scale)
         p = (1.3 * lam, 200 * lam)
         assert field_at(scaled, wave, p) == pytest.approx(
@@ -136,13 +136,13 @@ class TestFieldProperties:
 
 class TestLayoutInvariants:
     def test_positions_centered_and_uniform(self, lam):
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         d = np.diff(layout.positions)
         assert d == pytest.approx(np.full(99, 0.7 * lam), rel=1e-12)
         assert abs(layout.positions.sum()) < 1e-9 * lam
 
     def test_length(self, lam):
-        assert chamber_array(0.7 * lam).length == pytest.approx(99 * 0.7 * lam, rel=1e-12)
+        assert ChamberSpec().layout(0.7 * lam).length == pytest.approx(99 * 0.7 * lam, rel=1e-12)
 
     def test_wavenumber_wavelength_product(self, wave):
         assert wave.wavenumber * wave.wavelength == pytest.approx(2 * np.pi, rel=1e-15)

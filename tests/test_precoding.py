@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otazone import (DutArraySpec, StudyConfig, alpha_min_deg,
-                     build_channel, chamber_array, mf_weights, perturb_weights,
+                     build_channel, ChamberSpec, mf_weights, perturb_weights,
                      run_study, sinr, sum_rate, zf_weights)
 
 from oracles import sinr_symbol_oracle, zf_oracle
@@ -23,7 +23,7 @@ class TestGeometry:
         assert np.diff(pts[:, 0]) == pytest.approx(np.full(48, lam / 2), rel=1e-12)
 
     def test_dut_explicit_spacing(self, wave):
-        assert DutArraySpec(ies=0.01).spacing(wave) == 0.01
+        assert DutArraySpec(ies_lambda=0.25).spacing(wave) == 0.25 * wave.wavelength
 
     def test_dut_rejects_single_element(self):
         with pytest.raises(ValueError):
@@ -40,14 +40,14 @@ class TestGeometry:
 
     def test_interferer_at_zero_angle_is_main_array(self, wave, lam):
         for ies, d in ((0.7, 591), (1.35, 286)):
-            h = build_channel(chamber_array(ies * lam), d * lam, 0.0, DutArraySpec(), wave)
+            h = build_channel(ChamberSpec().layout(ies * lam), d * lam, 0.0, DutArraySpec(), wave)
             assert np.array_equal(h[0], h[1])
 
     def test_interferer_center_stays_on_circle(self, wave, lam):
         # An interferer centered on the circle of radius D around the zone
         # center and broadside to it sees the zone center (the middle DUT
         # element) exactly as the main array does.
-        layout = chamber_array(1.0 * lam)
+        layout = ChamberSpec().layout(1.0 * lam)
         d = 469 * lam
         mid = DutArraySpec().n_elements // 2
         for alpha in (5.0, 15.0, 40.0, 90.0):
@@ -65,20 +65,20 @@ def direct_field(element_xy, taper, wave, points):
 
 class TestChannel:
     def test_unit_mean_square(self, wave, lam):
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         h = build_channel(layout, 591 * lam, 20.0, DutArraySpec(), wave)
         assert h.shape == (2, 49)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_angle_rows_identical(self, wave, lam):
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         h = build_channel(layout, 591 * lam, 0.0, DutArraySpec(), wave)
         assert h[0] == pytest.approx(h[1], rel=1e-12)
 
     def test_interferer_row_matches_direct_superposition(self, wave, lam):
         # the interferer's elements placed explicitly: center on the circle
         # of radius D at angle alpha, array line perpendicular to the radius
-        layout = chamber_array(1.2 * lam)
+        layout = ChamberSpec().layout(1.2 * lam)
         d = 441 * lam
         dut = DutArraySpec()
         pts = dut.points(wave, d)
@@ -94,7 +94,7 @@ class TestChannel:
             assert h == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_well_conditioned_at_study_angles(self, wave, lam):
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         a = alpha_min_deg(layout.length, 591 * lam)
         h = build_channel(layout, 591 * lam, a, DutArraySpec(), wave)
         assert np.linalg.cond(h) < 10.0
@@ -148,7 +148,7 @@ class TestSinr:
             assert got == pytest.approx(want, rel=0.02)
 
     def test_zf_zero_error_closed_form(self, wave, lam):
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         a = alpha_min_deg(layout.length, 591 * lam)
         h = build_channel(layout, 591 * lam, a, DutArraySpec(), wave)
         w = zf_weights(h)
@@ -221,7 +221,7 @@ class TestRunStudy:
 
     def test_zero_sigma_matches_direct_formula(self, small_study, wave, lam):
         cfg, pts = small_study
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         a_min = alpha_min_deg(layout.length, 591 * lam)
         h = build_channel(layout, 591 * lam, a_min + 15.0, cfg.dut, wave)
         for prec, wfun in (("MF", mf_weights), ("ZF", zf_weights)):

@@ -2,17 +2,26 @@ import numpy as np
 import pytest
 
 from otazone import (TIER1, ComplianceMap, SweepGrid,
-                     compact_frontier, default_grid, run_sweep)
+                     compact_frontier, load_config, run_sweep)
+from otazone import sweep
 from otazone.sweep import SweepCell
 from otazone.testzone import FomReport, TestZoneSpec, evaluate_fom
-from otazone import chamber_array
+from otazone import ChamberSpec
 
-FULL_R = lambda lam: 99.0 * lam / 8.0
+FULL_R = 99.0 / 8.0  # zone radius in wavelengths
+
+
+def default_grid():
+    """The sweep grid of the default config, checked against the cap."""
+    cfg = load_config()
+    grid = SweepGrid(tuple(cfg.ies_values), tuple(cfg.d_values))
+    grid.validate_cap(cfg.wave, cfg.chamber.n_elements)
+    return grid
 
 
 class TestSweepGrid:
     def test_default_grid_axes(self, wave, lam):
-        grid = default_grid(wave)
+        grid = default_grid()
         ies = np.asarray(grid.ies_values) / lam
         d = np.asarray(grid.d_values) / lam
         assert ies[0] == pytest.approx(0.5) and ies[-1] == pytest.approx(1.5)
@@ -21,7 +30,7 @@ class TestSweepGrid:
         assert np.allclose(np.diff(d), 1.0)
 
     def test_default_grid_under_cap(self, wave, lam):
-        grid = default_grid(wave)
+        grid = default_grid()
         cap = (99.0 * 0.5) ** 2  # lambda units: half of 2 * (49.5 lam)^2 / lam
         assert cap == pytest.approx(2450.25)
         assert max(grid.d_values) / lam <= cap
@@ -52,17 +61,17 @@ class TestSweepGrid:
 class TestRunSweep:
     def test_cells_match_direct_evaluation(self, wave, lam):
         grid = SweepGrid((0.7 * lam, 1.0 * lam), (200 * lam, 300 * lam))
-        cmap = run_sweep(grid, wave, tz_radius=2 * lam)
+        cmap = run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=2.0))
         assert len(cmap.cells) == 4
         for c in cmap.cells:
-            rep = evaluate_fom(chamber_array(c.ies), wave,
+            rep = evaluate_fom(ChamberSpec().layout(c.ies), wave,
                                TestZoneSpec(c.d, 2 * lam, lam / 8), TIER1)
             assert (c.r_mag, c.sigma_mag, c.r_phs) == pytest.approx(
                 (rep.r_mag, rep.sigma_mag, rep.r_phs), rel=1e-12)
 
     def test_reports_share_values_across_tiers(self, wave, lam):
         grid = SweepGrid((0.7 * lam,), (250 * lam,))
-        c = run_sweep(grid, wave, tz_radius=2 * lam).cells[0]
+        c = run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=2.0)).cells[0]
         assert len(c.reports) == 3
         for rep in c.reports:
             assert (rep.r_mag, rep.sigma_mag, rep.r_phs) == (c.r_mag, c.sigma_mag, c.r_phs)
@@ -71,36 +80,45 @@ class TestRunSweep:
         # tighter tiers can only remove compliance, never add it
         grid = SweepGrid(tuple(np.array([0.5, 0.7, 1.0]) * lam),
                          tuple(np.array([40, 200, 500]) * lam))
-        cmap = run_sweep(grid, wave, tz_radius=3 * lam)
+        cmap = run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=3.0))
         for c in cmap.cells:
             t1, t2, t3 = (r.passed for r in c.reports)
             assert t2 <= t1 and t3 <= t2
 
     def test_length_column(self, wave, lam):
         grid = SweepGrid((0.8 * lam,), (100 * lam,))
-        c = run_sweep(grid, wave, tz_radius=lam).cells[0]
+        c = run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=1.0)).cells[0]
         assert c.length == pytest.approx(99 * 0.8 * lam, rel=1e-12)
 
     def test_compliance_not_monotone_in_distance(self, wave, lam):
         # at ies = 0.7 lam the tier-2 region is an island: 564 lam passes
         # while the larger distance 620 lam fails again on R_mag
         grid = SweepGrid((0.7 * lam,), (564 * lam, 620 * lam))
-        cmap = run_sweep(grid, wave, tz_radius=FULL_R(lam))
+        cmap = run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=FULL_R))
         near, far = cmap.cells
         assert near.reports[1].passed
         assert not far.reports[1].passed
 
     def test_cell_lookup(self, wave, lam):
         grid = SweepGrid((0.7 * lam,), (100 * lam, 150 * lam))
-        cmap = run_sweep(grid, wave, tz_radius=lam)
+        cmap = run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=1.0))
         assert cmap.cell(0.7 * lam, 150 * lam).d == pytest.approx(150 * lam)
         with pytest.raises(KeyError):
             cmap.cell(0.7 * lam, 125 * lam)
 
     def test_failure_wrapped_with_coordinates(self, wave, lam):
         grid = SweepGrid((0.5 * lam,), (2 * lam,))  # zone would hit the array
-        with pytest.raises(RuntimeError, match="sweep cell"):
-            run_sweep(grid, wave, tz_radius=5 * lam)
+        with pytest.raises(ValueError, match="sweep cell"):
+            run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=5.0))
+
+    def test_numerical_failure_stays_runtime_error(self, wave, lam, monkeypatch):
+        def overflow(mesh, values):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(sweep, "fom_values", overflow)
+        grid = SweepGrid((0.7 * lam,), (100 * lam,))
+        with pytest.raises(RuntimeError, match=r"sweep cell \(ies="):
+            run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=1.0))
 
 
 def _synthetic_map(points):
@@ -141,7 +159,7 @@ class TestCompactFrontier:
     def test_frontier_is_antichain_on_real_sweep(self, wave, lam):
         grid = SweepGrid(tuple(np.array([0.7, 1.0, 1.35]) * lam),
                          tuple(np.array([286, 469, 591]) * lam))
-        cmap = run_sweep(grid, wave, tz_radius=FULL_R(lam))
+        cmap = run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=FULL_R))
         front = compact_frontier(cmap, 0)
         assert front, "expected at least one tier-1 compliant cell"
         for i, (l1, d1) in enumerate(front):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otazone import (TIER1, TIER2, TIER3, TestZoneSpec, build_mesh, chamber_array,
+from otazone import (TIER1, TIER2, TIER3, ChamberSpec, TestZoneSpec, build_mesh,
                      evaluate_fom, field_over_mesh, r_mag, r_phs, sigma_mag)
 from otazone.testzone import FomLimits, FomReport, circular_range_deg, fom_values
 
@@ -157,7 +157,7 @@ class TestFomValuesBatch:
         # each column against 20*log10|E| statistics and the brute-force
         # circular range, computed without the library's kernel
         mesh = build_mesh(TestZoneSpec(300 * lam, 1.5 * lam, lam / 8))
-        base = field_over_mesh(chamber_array(0.7 * lam), wave, mesh)
+        base = field_over_mesh(ChamberSpec().layout(0.7 * lam), wave, mesh)
         rng = np.random.default_rng(5)
         batch = base[:, None] * (1.0 + 0.05 * (rng.standard_normal((mesh.n_points, 6)) +
                                               1j * rng.standard_normal((mesh.n_points, 6))))
@@ -190,20 +190,20 @@ class TestEvaluateFom:
         assert rep.passed and rep.failing_foms == ()
 
     def test_tier3_marked_point_passes(self, wave, lam):
-        rep = evaluate_fom(chamber_array(0.7 * lam), wave,
+        rep = evaluate_fom(ChamberSpec().layout(0.7 * lam), wave,
                            TestZoneSpec(591 * lam, 99 * lam / 8, lam / 8), TIER3)
         assert rep.passed
 
     def test_closest_distance_fails_tier1(self, wave, lam):
-        rep = evaluate_fom(chamber_array(0.5 * lam), wave,
+        rep = evaluate_fom(ChamberSpec().layout(0.5 * lam), wave,
                            TestZoneSpec(40 * lam, 99 * lam / 8, lam / 8), TIER1)
         assert not rep.passed
         assert "R_mag" in rep.failing_foms
 
     def test_deterministic(self, wave, lam):
         spec = TestZoneSpec(286 * lam, 99 * lam / 8, lam / 8)
-        a = evaluate_fom(chamber_array(1.35 * lam), wave, spec, TIER2)
-        b = evaluate_fom(chamber_array(1.35 * lam), wave, spec, TIER2)
+        a = evaluate_fom(ChamberSpec().layout(1.35 * lam), wave, spec, TIER2)
+        b = evaluate_fom(ChamberSpec().layout(1.35 * lam), wave, spec, TIER2)
         assert (a.r_mag, a.sigma_mag, a.r_phs) == (b.r_mag, b.sigma_mag, b.r_phs)
 
     def test_failing_foms_listed(self):
@@ -219,7 +219,7 @@ class TestEvaluateFom:
 class TestFieldOverMesh:
     def test_matches_per_point_calls(self, wave, lam):
         from otazone import field_at
-        layout = chamber_array(1.0 * lam)
+        layout = ChamberSpec().layout(1.0 * lam)
         mesh = build_mesh(TestZoneSpec(200 * lam, lam / 2, lam / 8))
         vals = field_over_mesh(layout, wave, mesh)
         singles = np.array([field_at(layout, wave, p) for p in mesh.points])
@@ -227,7 +227,7 @@ class TestFieldOverMesh:
 
     def test_fom_invariant_under_taper_scaling(self, wave, lam):
         from otazone.field import ArrayLayout
-        base = chamber_array(0.7 * lam)
+        base = ChamberSpec().layout(0.7 * lam)
         scaled = ArrayLayout(100, 0.7 * lam, base.taper * 7.3)
         mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
         f1 = fom_values(mesh, field_over_mesh(base, wave, mesh))

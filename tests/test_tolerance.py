@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from otazone import (ExcitationErrorModel, FomLimits, ToleranceSearchConfig,
-                     chamber_array, draw_errors, tolerance_search)
+                     ChamberSpec, draw_errors, tolerance_search)
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, build_mesh, fom_values
 from otazone import tolerance
@@ -56,7 +56,7 @@ class TestDrawErrors:
 
 class TestLevelFomBatch:
     def test_matches_scalar_fom_path(self, wave, lam):
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         mesh = build_mesh(TestZoneSpec(300 * lam, 2 * lam, lam / 8))
         contrib = element_fields(layout, wave, mesh.points)
         rng = np.random.default_rng(3)
@@ -66,7 +66,7 @@ class TestLevelFomBatch:
         assert (rm[0], sm[0], rp[0]) == pytest.approx(ref, rel=1e-10)
 
     def test_batch_columns_independent(self, wave, lam):
-        layout = chamber_array(1.0 * lam)
+        layout = ChamberSpec().layout(1.0 * lam)
         mesh = build_mesh(TestZoneSpec(200 * lam, lam, lam / 8))
         contrib = element_fields(layout, wave, mesh.points)
         rng = np.random.default_rng(4)
@@ -77,7 +77,7 @@ class TestLevelFomBatch:
             assert batched[:, j] == pytest.approx(single[:, 0], rel=1e-12)
 
     def test_zero_errors_reproduce_nominal(self, wave, lam):
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         mesh = build_mesh(TestZoneSpec(250 * lam, 2 * lam, lam / 8))
         contrib = element_fields(layout, wave, mesh.points)
         rm, sm, rp = level_fom_batch(contrib, mesh, np.zeros((100, 1), dtype=complex))
@@ -125,32 +125,32 @@ class TestToleranceSearch:
         cfg = ToleranceSearchConfig(n_mc=2, max_sigma_db=0.05,
                                     limits=FomLimits(1e9, 1e9, 179.0))
         res = tolerance_search(0.7 * lam, 300 * lam, wave, cfg,
-                               tz_radius=0.5 * lam)
+                               ChamberSpec(tz_radius_lambda=0.5))
         assert res.exceeded_cap
         assert res.tolerated_sigma_db == pytest.approx(0.05)
         assert res.first_failing_fom is None
 
     def test_step_invariant(self, wave, lam):
         cfg = ToleranceSearchConfig(n_mc=5, rng_seed=1)
-        res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, tz_radius=2 * lam)
+        res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
         assert not res.exceeded_cap
         assert res.failing_sigma_db == pytest.approx(
             res.tolerated_sigma_db + cfg.step_db, abs=1e-12)
 
     def test_deterministic(self, wave, lam):
         cfg = ToleranceSearchConfig(n_mc=5, rng_seed=3)
-        a = tolerance_search(1.0 * lam, 469 * lam, wave, cfg, tz_radius=2 * lam)
-        b = tolerance_search(1.0 * lam, 469 * lam, wave, cfg, tz_radius=2 * lam)
+        a = tolerance_search(1.0 * lam, 469 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
+        b = tolerance_search(1.0 * lam, 469 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
         assert a == b
 
     def test_any_rule_no_more_tolerant_than_majority(self, wave, lam):
         kw = dict(n_mc=20, rng_seed=2)
         any_res = tolerance_search(0.7 * lam, 591 * lam, wave,
                                    ToleranceSearchConfig(fail_rule="any", **kw),
-                                   tz_radius=2 * lam)
+                                   ChamberSpec(tz_radius_lambda=2.0))
         maj_res = tolerance_search(0.7 * lam, 591 * lam, wave,
                                    ToleranceSearchConfig(fail_rule="majority", **kw),
-                                   tz_radius=2 * lam)
+                                   ChamberSpec(tz_radius_lambda=2.0))
         assert any_res.tolerated_sigma_db <= maj_res.tolerated_sigma_db
 
     def test_tighter_limits_tolerate_less(self, wave, lam):
@@ -158,10 +158,10 @@ class TestToleranceSearch:
         kw = dict(n_mc=5, rng_seed=0)
         loose = tolerance_search(0.7 * lam, 591 * lam, wave,
                                  ToleranceSearchConfig(limits=TIER1, **kw),
-                                 tz_radius=2 * lam)
+                                 ChamberSpec(tz_radius_lambda=2.0))
         tight = tolerance_search(0.7 * lam, 591 * lam, wave,
                                  ToleranceSearchConfig(limits=TIER3, **kw),
-                                 tz_radius=2 * lam)
+                                 ChamberSpec(tz_radius_lambda=2.0))
         assert tight.tolerated_sigma_db <= loose.tolerated_sigma_db
 
     def test_each_realization_scored_once(self, wave, lam, monkeypatch):
@@ -173,19 +173,19 @@ class TestToleranceSearch:
 
         monkeypatch.setattr(tolerance, "level_fom_batch", counting)
         cfg = ToleranceSearchConfig(n_mc=70, rng_seed=0)
-        res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, tz_radius=2 * lam)
+        res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
         levels = round(res.failing_sigma_db / cfg.step_db)
         # the zero-error check, then all n_mc realizations of every level
         # up to and including the failing one
         assert sum(scored) == 1 + levels * cfg.n_mc
 
     def test_failing_level_counts_match_full_batch(self, wave, lam):
-        layout = chamber_array(0.7 * lam)
+        layout = ChamberSpec().layout(0.7 * lam)
         mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
         contrib = element_fields(layout, wave, mesh.points)
         cfg = ToleranceSearchConfig(n_mc=70, rng_seed=4, fail_rule="majority", step_db=0.05,
                                     limits=FomLimits(0.05, 0.2, 2.0))
-        res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, tz_radius=2 * lam)
+        res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
         level = round(res.failing_sigma_db / cfg.step_db)
         model = ExcitationErrorModel(res.failing_sigma_db)
         eps = _draw_batch(model, 100, cfg.rng_seed, level, 0, cfg.n_mc)
