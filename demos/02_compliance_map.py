@@ -23,9 +23,7 @@ chamber = ChamberSpec()    # 100 elements, zone radius 99λ/8 at λ/8 pitch
 ies_axis = np.array([0.5, 0.7, 1.0, 1.2, 1.35]) * lam
 d_axis = np.array([100, 200, 300, 400, 500, 600]) * lam
 grid = SweepGrid(tuple(ies_axis), tuple(d_axis))
-grid.validate_cap(wave, chamber.n_elements)
-
-cmap = run_sweep(grid, wave, chamber)
+cmap = run_sweep(grid, wave, chamber)    # rejects D beyond the half-Fraunhofer cap
 
 print("tier-1 compliance ('#' = pass), rows = IES, cols = D/λ:")
 print("  IES\\D   " + "".join(f"{int(d / lam):>6d}" for d in d_axis))

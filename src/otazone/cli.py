@@ -15,10 +15,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .precoding import DutArraySpec, StudyConfig, run_study
-from .sweep import SweepGrid, run_sweep
+from .precoding import run_study
+from .sweep import run_sweep
 from .testzone import TIER1, TIER2, TIER3, evaluate_fom
-from .tolerance import ToleranceSearchConfig, tolerance_search
+from .tolerance import tolerance_search
 
 TIERS = {1: TIER1, 2: TIER2, 3: TIER3}
 
@@ -51,9 +51,7 @@ def cmd_fom(cfg: RunConfig, args, out: TextIO) -> None:
 
 def cmd_sweep(cfg: RunConfig, args, out: TextIO) -> None:
     lam = cfg.wavelength
-    grid = SweepGrid(tuple(cfg.ies_values), tuple(cfg.d_values))
-    grid.validate_cap(cfg.wave, cfg.chamber.n_elements)
-    cmap = run_sweep(grid, cfg.wave, cfg.chamber)
+    cmap = run_sweep(cfg.grid, cfg.wave, cfg.chamber)
     rows = []
     for c in cmap.cells:
         rows.append(",".join([
@@ -66,15 +64,9 @@ def cmd_sweep(cfg: RunConfig, args, out: TextIO) -> None:
 
 def cmd_tolerance(cfg: RunConfig, args, out: TextIO) -> None:
     lam = cfg.wavelength
-    scfg = ToleranceSearchConfig(step_db=cfg["sigma_step_db"],
-                                 n_mc=cfg["n_mc_tolerance"],
-                                 limits=cfg.limits,
-                                 rng_seed=cfg["seed"],
-                                 max_sigma_db=cfg["max_sigma_db"],
-                                 fail_rule=cfg["tolerance_fail_rule"])
     rows = []
     for ies, d in cfg.geometries:
-        res = tolerance_search(ies, d, cfg.wave, scfg, cfg.chamber)
+        res = tolerance_search(ies, d, cfg.wave, cfg.tolerance, cfg.chamber)
         fom = res.first_failing_fom if res.first_failing_fom else "exceeds_cap"
         rows.append(",".join([
             _fmt((cfg.chamber.n_elements - 1) * ies / lam), _fmt(ies / lam), _fmt(d / lam),
@@ -86,12 +78,7 @@ def cmd_tolerance(cfg: RunConfig, args, out: TextIO) -> None:
 
 def cmd_precode(cfg: RunConfig, args, out: TextIO) -> None:
     lam = cfg.wavelength
-    dut = DutArraySpec(n_elements=cfg["dut_elements"], ies_lambda=cfg["dut_ies_lambda"])
-    study = StudyConfig(snr_db=tuple(cfg["snr_db"]),
-                        sigma_dut_db=tuple(cfg["sigma_dut_db"]),
-                        alpha_offsets_deg=tuple(cfg["alpha_offsets_deg"]),
-                        n_mc=cfg["n_mc_precode"], rng_seed=cfg["seed"], dut=dut)
-    points = run_study(cfg.geometries, cfg.wave, study, cfg.chamber)
+    points = run_study(cfg.geometries, cfg.wave, cfg.study, cfg.chamber)
     rows = [",".join([
         _fmt(p.length / lam), _fmt(p.distance / lam), _fmt(p.alpha_deg), p.precoder,
         _fmt(p.snr_db), _fmt(p.sigma_dut_db), format(p.avg_sum_rate, ".8f"),

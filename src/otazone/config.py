@@ -1,8 +1,10 @@
 """Run configuration: JSON parsing, defaults, validation, canonical form.
 
-Geometry keys are wavelength-denominated (``*_lambda``); everything is
-converted to meters once, at load time. Unknown keys are rejected so a
-typo cannot silently fall back to a default.
+Geometry keys are wavelength-denominated (``*_lambda``); ``load_config``
+converts them to meters and builds every run object once. The library
+type that owns a value checks it; this module checks types, the keys no
+such type reads, and rejects unknown keys so a typo cannot fall back to a
+default.
 """
 
 from __future__ import annotations
@@ -10,13 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .field import WaveSpec
-from .precoding import StudyConfig
+from .precoding import DutArraySpec, StudyConfig
+from .sweep import SweepGrid
 from .testzone import TIER1, ChamberSpec, FomLimits
 from .tolerance import ToleranceSearchConfig
 
@@ -59,44 +63,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The merged config keys and the run objects built from them, in meters."""
+
     raw: Dict[str, object]
+    wave: WaveSpec
     chamber: ChamberSpec
+    limits: FomLimits
+    grid: SweepGrid
+    geometries: Tuple[Tuple[float, float], ...]
+    tolerance: ToleranceSearchConfig
+    study: StudyConfig
 
     def __getitem__(self, key: str):
         return self.raw[key]
 
     @property
-    def wave(self) -> WaveSpec:
-        return WaveSpec(frequency=float(self.raw["frequency_hz"]))
-
-    @property
     def wavelength(self) -> float:
         return self.wave.wavelength
-
-    @property
-    def ies_values(self) -> List[float]:
-        return [v * self.wavelength for v in self.raw["ies_lambda"]]
-
-    @property
-    def d_values(self) -> List[float]:
-        lam = self.wavelength
-        if self.raw["d_lambda"] is not None:
-            return [v * lam for v in self.raw["d_lambda"]]
-        lo, hi = self.raw["d_range_lambda"]
-        step = float(self.raw["d_step_lambda"])
-        return [v * lam for v in np.arange(lo, hi + 1e-9, step)]
-
-    @property
-    def geometries(self) -> List[Tuple[float, float]]:
-        lam = self.wavelength
-        return [(i * lam, d * lam) for i, d in self.raw["geometries_lambda"]]
-
-    @property
-    def limits(self) -> FomLimits:
-        lim = self.raw["limits"]
-        return FomLimits(sigma_mag_max=float(lim["sigma_mag_db"]),
-                         r_mag_max=float(lim["r_mag_db"]),
-                         r_phs_max=float(lim["r_phs_deg"]))
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -134,45 +117,33 @@ def _check_types(cfg: Dict[str, object]) -> None:
 
 
 def _validate(cfg: Dict[str, object]) -> None:
-    def fail(msg: str):
-        raise ConfigError(msg)
-
+    """Types, and the values that no run object checks."""
     _check_types(cfg)
-    if cfg["frequency_hz"] <= 0:
-        fail("frequency_hz must be positive")
-    ies = list(cfg["ies_lambda"])
-    if not ies or any(b <= a for a, b in zip(ies, ies[1:])):
-        fail("ies_lambda must be non-empty and strictly increasing")
-    if min(ies) <= 0:
-        fail("ies_lambda values must be positive")
-    if cfg["d_lambda"] is not None:
-        d = list(cfg["d_lambda"])
-        if not d or any(b <= a for a, b in zip(d, d[1:])):
-            fail("d_lambda must be non-empty and strictly increasing")
     if len(cfg["d_range_lambda"]) != 2 or cfg["d_range_lambda"][0] > cfg["d_range_lambda"][1]:
-        fail("d_range_lambda must be [lo, hi] with lo <= hi")
-    if cfg["d_step_lambda"] <= 0 or cfg["sigma_step_db"] <= 0:
-        fail("step sizes must be positive")
-    if cfg["n_mc_tolerance"] < 1 or cfg["n_mc_precode"] < 1:
-        fail("Monte-Carlo counts must be >= 1")
-    if cfg["tolerance_fail_rule"] not in ("any", "majority"):
-        fail("tolerance_fail_rule must be 'any' or 'majority'")
-    lim = cfg["limits"]
-    extra = set(lim) - set(_DEFAULTS["limits"])
+        raise ConfigError("d_range_lambda must be [lo, hi] with lo <= hi")
+    if cfg["d_step_lambda"] <= 0:
+        raise ConfigError("d_step_lambda must be positive")
+    extra = set(cfg["limits"]) - set(_DEFAULTS["limits"])
     if extra:
-        fail(f"unknown limit keys: {sorted(extra)}")
+        raise ConfigError(f"unknown limit keys: {sorted(extra)}")
     for g in cfg["geometries_lambda"]:
         if len(g) != 2 or g[0] <= 0 or g[1] <= 0:
-            fail(f"bad geometry entry {g}; expected [ies_lambda, d_lambda] > 0")
-    if cfg["dut_elements"] < 2:
-        fail("dut_elements must be >= 2")
-    if cfg["dut_ies_lambda"] <= 0:
-        fail("dut_ies_lambda must be positive")
+            raise ConfigError(f"bad geometry entry {g}; expected [ies_lambda, d_lambda] > 0")
+
+
+@contextmanager
+def _naming(cfg: Dict[str, object], *keys: str) -> Iterator[None]:
+    """Report a ValueError of the run object built inside as a ConfigError naming its keys."""
+    try:
+        yield
+    except ValueError as exc:
+        named = ", ".join(f"{k}={cfg[k]!r}" for k in keys)
+        raise ConfigError(f"bad config ({named}): {exc}") from exc
 
 
 def load_config(data: Optional[Dict[str, object]] = None,
                 path: Optional[str] = None) -> RunConfig:
-    """Build a fully validated config from a dict or a JSON file.
+    """Build a fully validated config, with its run objects, from a dict or a JSON file.
 
     Omitted keys take the built-in defaults; unknown keys are an error.
     """
@@ -185,20 +156,43 @@ def load_config(data: Optional[Dict[str, object]] = None,
     unknown = set(data) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged: Dict[str, object] = {}
+    cfg: Dict[str, object] = {}
     for key, default in _DEFAULTS.items():
         if key in data:
-            merged[key] = data[key]
+            cfg[key] = data[key]
         elif isinstance(default, dict):
-            merged[key] = dict(default)
+            cfg[key] = dict(default)
         elif isinstance(default, list):
-            merged[key] = [list(v) if isinstance(v, list) else v for v in default]
+            cfg[key] = [list(v) if isinstance(v, list) else v for v in default]
         else:
-            merged[key] = default
-    _validate(merged)
-    try:
-        chamber = ChamberSpec(**{k: merged[k] for k in _CHAMBER_KEYS})
-    except ValueError as exc:
-        keys = ", ".join(f"{k}={merged[k]!r}" for k in _CHAMBER_KEYS)
-        raise ConfigError(f"bad chamber ({keys}): {exc}") from exc
-    return RunConfig(raw=merged, chamber=chamber)
+            cfg[key] = default
+    _validate(cfg)
+    with _naming(cfg, "frequency_hz"):
+        wave = WaveSpec(frequency=float(cfg["frequency_hz"]))
+    lam = wave.wavelength
+    with _naming(cfg, *_CHAMBER_KEYS):
+        chamber = ChamberSpec(**{k: cfg[k] for k in _CHAMBER_KEYS})
+    lim = cfg["limits"]
+    with _naming(cfg, "limits"):
+        limits = FomLimits(sigma_mag_max=float(lim["sigma_mag_db"]),
+                           r_mag_max=float(lim["r_mag_db"]), r_phs_max=float(lim["r_phs_deg"]))
+    lo, hi = cfg["d_range_lambda"]
+    d_lambda = (np.arange(lo, hi + 1e-9, float(cfg["d_step_lambda"]))
+                if cfg["d_lambda"] is None else cfg["d_lambda"])
+    with _naming(cfg, "ies_lambda", "d_lambda", "d_range_lambda", "d_step_lambda"):
+        grid = SweepGrid(tuple(np.asarray(cfg["ies_lambda"], dtype=float) * lam),
+                         tuple(np.asarray(d_lambda, dtype=float) * lam))
+    with _naming(cfg, "sigma_step_db", "n_mc_tolerance", "max_sigma_db", "tolerance_fail_rule"):
+        tolerance = ToleranceSearchConfig(
+            step_db=cfg["sigma_step_db"], n_mc=cfg["n_mc_tolerance"], limits=limits,
+            rng_seed=cfg["seed"], max_sigma_db=cfg["max_sigma_db"],
+            fail_rule=cfg["tolerance_fail_rule"])
+    with _naming(cfg, "dut_elements", "dut_ies_lambda"):
+        dut = DutArraySpec(n_elements=cfg["dut_elements"], ies_lambda=cfg["dut_ies_lambda"])
+    with _naming(cfg, "snr_db", "sigma_dut_db", "alpha_offsets_deg", "n_mc_precode"):
+        study = StudyConfig(
+            snr_db=tuple(cfg["snr_db"]), sigma_dut_db=tuple(cfg["sigma_dut_db"]),
+            alpha_offsets_deg=tuple(cfg["alpha_offsets_deg"]), n_mc=cfg["n_mc_precode"],
+            rng_seed=cfg["seed"], dut=dut)
+    geometries = tuple((i * lam, d * lam) for i, d in cfg["geometries_lambda"])
+    return RunConfig(cfg, wave, chamber, limits, grid, geometries, tolerance, study)

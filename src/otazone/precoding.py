@@ -29,6 +29,8 @@ class DutArraySpec:
     def __post_init__(self):
         if self.n_elements < 2:
             raise ValueError("DUT needs at least 2 elements")
+        if self.ies_lambda <= 0:
+            raise ValueError("DUT spacing ies_lambda must be positive")
 
     def spacing(self, wave: WaveSpec) -> float:
         return self.ies_lambda * wave.wavelength
@@ -148,6 +150,10 @@ class StudyConfig:
     n_mc: int = 1000
     rng_seed: int = 0
     dut: DutArraySpec = field(default_factory=DutArraySpec)
+
+    def __post_init__(self):
+        if self.n_mc < 1:
+            raise ValueError("n_mc must be >= 1")
 
 
 @dataclass(frozen=True)

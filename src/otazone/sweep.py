@@ -32,6 +32,8 @@ class SweepGrid:
             raise ValueError("grid axes must be non-empty")
         if np.any(np.diff(ies) <= 0) or np.any(np.diff(d) <= 0):
             raise ValueError("grid axes must be strictly increasing")
+        if ies[0] <= 0:
+            raise ValueError("ies values must be positive")
         object.__setattr__(self, "ies_values", tuple(ies))
         object.__setattr__(self, "d_values", tuple(d))
 
@@ -70,12 +72,14 @@ def run_sweep(grid: SweepGrid, wave: WaveSpec,
               chamber: ChamberSpec = ChamberSpec()) -> ComplianceMap:
     """Evaluate the FoM once per (ies, D) cell and score every tier.
 
-    The field is computed with zero excitation errors, so the map is
+    The grid must pass ``validate_cap`` for the chamber's array size. The
+    field is computed with zero excitation errors, so the map is
     deterministic. A failure inside any cell aborts the sweep with the
     offending coordinates attached: a ValueError (bad input, such as a
     zone that crosses the array line) stays a ValueError, anything else
     becomes a RuntimeError.
     """
+    grid.validate_cap(wave, chamber.n_elements)
     cells: List[SweepCell] = []
     for ies in grid.ies_values:
         layout = chamber.layout(ies)
@@ -93,17 +97,15 @@ def run_sweep(grid: SweepGrid, wave: WaveSpec,
 
 
 def compact_frontier(cmap: ComplianceMap, tier_index: int) -> List[Tuple[float, float]]:
-    """Pareto-minimal compliant (L, D) pairs under componentwise order.
+    """Pareto-minimal compliant (L, D) pairs under componentwise order, sorted by L.
 
     A compliant cell survives if no other compliant cell is at least as
     small in both array length and distance and strictly smaller in one.
+    In (L, D) order a pair can only be dominated by an earlier one, so it
+    survives exactly when its D is below every D before it (a skyline).
     """
-    compliant = [(c.length, c.d) for c in cmap.cells if c.reports[tier_index].passed]
-    frontier = []
-    for l1, d1 in compliant:
-        dominated = any(
-            (l2 <= l1 and d2 <= d1 and (l2 < l1 or d2 < d1))
-            for l2, d2 in compliant)
-        if not dominated:
-            frontier.append((l1, d1))
-    return sorted(set(frontier))
+    frontier: List[Tuple[float, float]] = []
+    for length, d in sorted({(c.length, c.d) for c in cmap.cells if c.reports[tier_index].passed}):
+        if not frontier or d < frontier[-1][1]:
+            frontier.append((length, d))
+    return frontier

@@ -16,6 +16,8 @@ import numpy as np
 
 from .field import ArrayLayout, WaveSpec, field_at_points, make_taper
 
+FOM_ORDER = ("R_mag", "sigma_mag", "R_phs")
+
 
 @dataclass(frozen=True)
 class TestZoneSpec:
@@ -201,6 +203,11 @@ class FomLimits:
         if min(self.sigma_mag_max, self.r_mag_max, self.r_phs_max) <= 0:
             raise ValueError("all limits must be strictly positive")
 
+    def violations(self, r_mag, sigma_mag, r_phs) -> np.ndarray:
+        """Violated FoMs in FOM_ORDER: shape (3,) for floats, (3, batch) for arrays."""
+        return np.stack([r_mag > self.r_mag_max, sigma_mag > self.sigma_mag_max,
+                         r_phs > self.r_phs_max])
+
 
 TIER1 = FomLimits(sigma_mag_max=0.25, r_mag_max=1.0, r_phs_max=10.0)
 TIER2 = FomLimits(sigma_mag_max=0.225, r_mag_max=0.9, r_phs_max=9.0)
@@ -217,14 +224,8 @@ class FomReport:
 
     @staticmethod
     def from_values(rm: float, sm: float, rp: float, limits: FomLimits) -> "FomReport":
-        failing = []
-        if rm > limits.r_mag_max:
-            failing.append("R_mag")
-        if sm > limits.sigma_mag_max:
-            failing.append("sigma_mag")
-        if rp > limits.r_phs_max:
-            failing.append("R_phs")
-        return FomReport(rm, sm, rp, passed=not failing, failing_foms=tuple(failing))
+        failing = tuple(f for f, bad in zip(FOM_ORDER, limits.violations(rm, sm, rp)) if bad)
+        return FomReport(rm, sm, rp, passed=not failing, failing_foms=failing)
 
 
 def fom_values(mesh: TestZoneMesh, values: np.ndarray):

@@ -21,9 +21,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .field import WaveSpec, element_fields
-from .testzone import ChamberSpec, FomLimits, TIER1, TestZoneMesh, build_mesh, fom_values
-
-FOM_ORDER = ("R_mag", "sigma_mag", "R_phs")
+from .testzone import (FOM_ORDER, ChamberSpec, FomLimits, TIER1, TestZoneMesh, build_mesh,
+                       fom_values)
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,8 @@ class ToleranceSearchConfig:
     def __post_init__(self):
         if self.step_db <= 0:
             raise ValueError("step_db must be positive")
+        if self.max_sigma_db < self.step_db:
+            raise ValueError("max_sigma_db must be at least one step_db")
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
         if self.fail_rule not in ("any", "majority"):
@@ -90,13 +91,6 @@ def level_fom_batch(contrib: np.ndarray, mesh: TestZoneMesh,
     (r_mag, sigma_mag, r_phs), each of length batch.
     """
     return fom_values(mesh, contrib @ (1.0 + eps))
-
-
-def _violations(rmag, smag, rphs, limits: FomLimits) -> np.ndarray:
-    """(3, batch) boolean violation mask in FOM_ORDER."""
-    return np.stack([rmag > limits.r_mag_max,
-                     smag > limits.sigma_mag_max,
-                     rphs > limits.r_phs_max])
 
 
 def _draw_batch(model: ExcitationErrorModel, n_elements: int, seed: int,
@@ -127,7 +121,7 @@ def _failing_level_counts(contrib, mesh, model, cfg, level,
             return None
         stop = min(done + chunk, cfg.n_mc)
         eps = _draw_batch(model, n_elements, cfg.rng_seed, level, done, stop)
-        viol = _violations(*level_fom_batch(contrib, mesh, eps), cfg.limits)
+        viol = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps))
         counts += viol.sum(axis=1)
         failures += int(viol.any(axis=0).sum())
         done = stop
@@ -158,7 +152,7 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
 
     # Level 0 must pass with zero errors, otherwise tolerance is degenerate.
     zero = np.zeros((n_elements, 1), dtype=complex)
-    base = _violations(*level_fom_batch(contrib, mesh, zero), cfg.limits)
+    base = cfg.limits.violations(*level_fom_batch(contrib, mesh, zero))
     if base.any():
         idx = int(np.argmax(base[:, 0]))
         return ToleranceResult(0.0, FOM_ORDER[idx], 0.0)

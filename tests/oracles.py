@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: the field oracle sums
 per-element terms in 40-digit arithmetic with mpmath, the combiner oracle
-goes through SVD-based pseudo-inversion, and the SINR oracle estimates
-signal/interference/noise powers from simulated symbols.
+goes through SVD-based pseudo-inversion, the SINR oracle estimates
+signal/interference/noise powers from simulated symbols, and the frontier
+oracle compares every pair of compliant cells.
 """
 
 import mpmath as mp
@@ -81,3 +82,16 @@ def circular_range_bruteforce(phases_deg):
         shifted = np.mod(ph - cut, 360.0)
         best = min(best, shifted.max() - shifted.min())
     return min(best, 180.0)
+
+
+def compact_frontier_bruteforce(cmap, tier_index):
+    """Pareto-minimal compliant (L, D) pairs, each checked against every other."""
+    compliant = [(c.length, c.d) for c in cmap.cells if c.reports[tier_index].passed]
+    frontier = []
+    for l1, d1 in compliant:
+        dominated = any(
+            (l2 <= l1 and d2 <= d1 and (l2 < l1 or d2 < d1))
+            for l2, d2 in compliant)
+        if not dominated:
+            frontier.append((l1, d1))
+    return sorted(set(frontier))

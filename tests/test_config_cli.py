@@ -20,12 +20,12 @@ class TestLoadConfig:
 
     def test_default_d_axis_range(self):
         cfg = load_config()
-        d = np.asarray(cfg.d_values) / cfg.wavelength
+        d = np.asarray(cfg.grid.d_values) / cfg.wavelength
         assert d[0] == pytest.approx(40.0) and d[-1] == pytest.approx(2450.0)
 
     def test_explicit_d_lambda_wins_over_range(self):
         cfg = load_config({"d_lambda": [100.0, 200.0]})
-        assert [round(v / cfg.wavelength) for v in cfg.d_values] == [100, 200]
+        assert [round(v / cfg.wavelength) for v in cfg.grid.d_values] == [100, 200]
 
     def test_geometries_converted_to_meters(self):
         cfg = load_config()
@@ -68,6 +68,9 @@ class TestLoadConfig:
         {"n_mc_tolerance": 2.5},
         {"limits": {"sigma_mag_db": 0.25}},
         {"d_range_lambda": [2450.0, 40.0]},
+        {"max_sigma_db": -1.0},
+        {"max_sigma_db": 0.005},
+        {"limits": {"sigma_mag_db": 0.0, "r_mag_db": 1.0, "r_phs_deg": 10.0}},
     ])
     def test_invalid_values_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -139,6 +142,7 @@ class TestCliFom:
     @pytest.mark.parametrize("config, message", [
         ({"n_elements": "100"}, "n_elements must be an integer"),
         ({"d_range_lambda": [2450.0, 40.0]}, "d_range_lambda must be [lo, hi] with lo <= hi"),
+        ({"sigma_step_db": 0.0}, "sigma_step_db=0.0"),
     ])
     def test_bad_value_exits_with_message(self, tmp_path, capsys, config, message):
         code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", "0.7", "--d-lambda", "591"],

@@ -29,6 +29,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             DutArraySpec(n_elements=1)
 
+    def test_dut_rejects_zero_spacing(self):
+        # all DUT points on one spot would only fail later, as a collinear ZF channel
+        with pytest.raises(ValueError):
+            DutArraySpec(ies_lambda=0.0)
+
     def test_alpha_min_values(self, lam):
         # frozen: arctan(L/D) for the first and last studied geometries
         assert alpha_min_deg(99 * 1.35 * lam, 286 * lam) == pytest.approx(25.047, abs=1e-3)
@@ -212,6 +217,10 @@ def small_study(wave, lam):
 
 
 class TestRunStudy:
+    def test_config_rejects_zero_mc(self):
+        with pytest.raises(ValueError):
+            StudyConfig(n_mc=0)
+
     def test_point_count_and_coordinates(self, small_study, lam):
         cfg, pts = small_study
         assert len(pts) == 2 * 2 * 2 * 2  # angles x sigmas x precoders x snrs

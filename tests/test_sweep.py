@@ -8,13 +8,15 @@ from otazone.sweep import SweepCell
 from otazone.testzone import FomReport, TestZoneSpec, evaluate_fom
 from otazone import ChamberSpec
 
+from oracles import compact_frontier_bruteforce
+
 FULL_R = 99.0 / 8.0  # zone radius in wavelengths
 
 
 def default_grid():
     """The sweep grid of the default config, checked against the cap."""
     cfg = load_config()
-    grid = SweepGrid(tuple(cfg.ies_values), tuple(cfg.d_values))
+    grid = cfg.grid
     grid.validate_cap(cfg.wave, cfg.chamber.n_elements)
     return grid
 
@@ -155,6 +157,16 @@ class TestCompactFrontier:
     def test_empty_when_nothing_passes(self):
         cmap = _synthetic_map([(10.0, 100.0, False)])
         assert compact_frontier(cmap, 0) == []
+
+    def test_matches_pairwise_definition(self):
+        # integer coordinates from a small range force ties in L and in D
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            points = [(float(length), float(d), bool(ok)) for length, d, ok in
+                      zip(rng.integers(1, 7, n), rng.integers(1, 7, n), rng.random(n) < 0.7)]
+            cmap = _synthetic_map(points)
+            assert compact_frontier(cmap, 0) == compact_frontier_bruteforce(cmap, 0), points
 
     def test_frontier_is_antichain_on_real_sweep(self, wave, lam):
         grid = SweepGrid(tuple(np.array([0.7, 1.0, 1.35]) * lam),

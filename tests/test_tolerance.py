@@ -9,7 +9,7 @@ from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, build_mesh, fom_values
 from otazone import tolerance
 from otazone.tolerance import (FOM_ORDER, _draw_batch, _failing_level_counts,
-                               level_fom_batch, _violations)
+                               level_fom_batch)
 
 
 class TestErrorModel:
@@ -189,7 +189,7 @@ class TestToleranceSearch:
         level = round(res.failing_sigma_db / cfg.step_db)
         model = ExcitationErrorModel(res.failing_sigma_db)
         eps = _draw_batch(model, 100, cfg.rng_seed, level, 0, cfg.n_mc)
-        want = _violations(*level_fom_batch(contrib, mesh, eps), cfg.limits).sum(axis=1)
+        want = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps)).sum(axis=1)
         for rule in ("any", "majority"):
             counts = _failing_level_counts(contrib, mesh, model,
                                            replace(cfg, fail_rule=rule), level, 100)
@@ -198,6 +198,6 @@ class TestToleranceSearch:
                                      cfg, level - 1, 100) is None
 
     def test_violation_mask_order(self):
-        mask = _violations(np.array([2.0]), np.array([0.1]), np.array([20.0]),
-                           FomLimits(sigma_mag_max=0.25, r_mag_max=1.0, r_phs_max=10.0))
+        mask = FomLimits(sigma_mag_max=0.25, r_mag_max=1.0, r_phs_max=10.0).violations(
+            np.array([2.0]), np.array([0.1]), np.array([20.0]))
         assert mask[:, 0].tolist() == [True, False, True]
