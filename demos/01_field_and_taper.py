@@ -12,8 +12,7 @@ Run:  python3 demos/01_field_and_taper.py
 
 import numpy as np
 
-from otazone import (TIER1, TIER2, TIER3, ChamberSpec, WaveSpec, evaluate_fom,
-                     field_at_points)
+from otazone import TIERS, ChamberSpec, WaveSpec, evaluate_fom, field_at_points
 
 wave = WaveSpec()          # 28 GHz
 lam = wave.wavelength
@@ -42,7 +41,7 @@ for ies_lambda, d_lambda in ((1.35, 286), (1.2, 441), (1.0, 469),
                              (0.7, 564), (0.7, 591)):
     pick = chamber.layout(ies_lambda * lam)
     zone = chamber.zone(wave, d_lambda * lam)
-    reps = [evaluate_fom(pick, wave, zone, tier) for tier in (TIER1, TIER2, TIER3)]
+    reps = [evaluate_fom(pick, wave, zone, tier) for tier in TIERS]
     r = reps[0]
     flags = "  ".join("ok " if rep.passed else "no " for rep in reps)
     print(f"  {ies_lambda:4.2f}λ  {d_lambda:5d}λ   {r.r_mag:6.3f}dB  "

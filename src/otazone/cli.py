@@ -17,14 +17,13 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .precoding import run_study
 from .sweep import run_sweep
-from .testzone import TIER1, TIER2, TIER3, evaluate_fom
+from .testzone import TIERS, evaluate_fom
 from .tolerance import tolerance_search
-
-TIERS = {1: TIER1, 2: TIER2, 3: TIER3}
 
 
 def _emit(out: TextIO, cfg: RunConfig, header: str, rows: Sequence[str]) -> None:
-    out.write(f"# config_hash={cfg.config_hash()} seed={cfg['seed']} version={__version__}\n")
+    out.write(f"# config_hash={cfg.config_hash()} seed={cfg.tolerance.rng_seed} "
+              f"version={__version__}\n")
     out.write(header + "\n")
     for row in rows:
         out.write(row + "\n")
@@ -38,7 +37,7 @@ def cmd_fom(cfg: RunConfig, args, out: TextIO) -> None:
     lam = cfg.wavelength
     ies = args.ies_lambda * lam
     d = args.d_lambda * lam
-    limits = TIERS[args.tier] if args.tier else cfg.limits
+    limits = TIERS[args.tier - 1] if args.tier else cfg.limits
     layout = cfg.chamber.layout(ies)
     rep = evaluate_fom(layout, cfg.wave, cfg.chamber.zone(cfg.wave, d), limits)
     row = ",".join([
@@ -64,14 +63,14 @@ def cmd_sweep(cfg: RunConfig, args, out: TextIO) -> None:
 
 def cmd_tolerance(cfg: RunConfig, args, out: TextIO) -> None:
     lam = cfg.wavelength
+    tol = cfg.tolerance
     rows = []
     for ies, d in cfg.geometries:
-        res = tolerance_search(ies, d, cfg.wave, cfg.tolerance, cfg.chamber)
+        res = tolerance_search(ies, d, cfg.wave, tol, cfg.chamber)
         fom = res.first_failing_fom if res.first_failing_fom else "exceeds_cap"
         rows.append(",".join([
-            _fmt((cfg.chamber.n_elements - 1) * ies / lam), _fmt(ies / lam), _fmt(d / lam),
-            _fmt(res.tolerated_sigma_db), fom,
-            str(cfg["n_mc_tolerance"]), str(cfg["seed"])]))
+            _fmt(cfg.chamber.layout(ies).length / lam), _fmt(ies / lam), _fmt(d / lam),
+            _fmt(res.tolerated_sigma_db), fom, str(tol.n_mc), str(tol.rng_seed)]))
     _emit(out, cfg, "L_lambda,ies_lambda,D_lambda,tolerated_sigma_db,failing_fom,n_mc,seed",
           rows)
 
@@ -82,7 +81,7 @@ def cmd_precode(cfg: RunConfig, args, out: TextIO) -> None:
     rows = [",".join([
         _fmt(p.length / lam), _fmt(p.distance / lam), _fmt(p.alpha_deg), p.precoder,
         _fmt(p.snr_db), _fmt(p.sigma_dut_db), format(p.avg_sum_rate, ".8f"),
-        str(cfg["n_mc_precode"]), str(cfg["seed"])]) for p in points]
+        str(cfg.study.n_mc), str(cfg.study.rng_seed)]) for p in points]
     _emit(out, cfg, "L_lambda,D_lambda,alpha_deg,precoder,snr_db,sigma_dut_db,"
           "avg_sum_rate,n_mc,seed", rows)
 

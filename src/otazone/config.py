@@ -74,9 +74,6 @@ class RunConfig:
     tolerance: ToleranceSearchConfig
     study: StudyConfig
 
-    def __getitem__(self, key: str):
-        return self.raw[key]
-
     @property
     def wavelength(self) -> float:
         return self.wave.wavelength
@@ -182,14 +179,15 @@ def load_config(data: Optional[Dict[str, object]] = None,
     with _naming(cfg, "ies_lambda", "d_lambda", "d_range_lambda", "d_step_lambda"):
         grid = SweepGrid(tuple(np.asarray(cfg["ies_lambda"], dtype=float) * lam),
                          tuple(np.asarray(d_lambda, dtype=float) * lam))
-    with _naming(cfg, "sigma_step_db", "n_mc_tolerance", "max_sigma_db", "tolerance_fail_rule"):
+    with _naming(cfg, "sigma_step_db", "n_mc_tolerance", "max_sigma_db", "tolerance_fail_rule",
+                 "seed"):
         tolerance = ToleranceSearchConfig(
             step_db=cfg["sigma_step_db"], n_mc=cfg["n_mc_tolerance"], limits=limits,
             rng_seed=cfg["seed"], max_sigma_db=cfg["max_sigma_db"],
             fail_rule=cfg["tolerance_fail_rule"])
     with _naming(cfg, "dut_elements", "dut_ies_lambda"):
         dut = DutArraySpec(n_elements=cfg["dut_elements"], ies_lambda=cfg["dut_ies_lambda"])
-    with _naming(cfg, "snr_db", "sigma_dut_db", "alpha_offsets_deg", "n_mc_precode"):
+    with _naming(cfg, "snr_db", "sigma_dut_db", "alpha_offsets_deg", "n_mc_precode", "seed"):
         study = StudyConfig(
             snr_db=tuple(cfg["snr_db"]), sigma_dut_db=tuple(cfg["sigma_dut_db"]),
             alpha_offsets_deg=tuple(cfg["alpha_offsets_deg"]), n_mc=cfg["n_mc_precode"],

@@ -8,7 +8,6 @@ by superposition. Element patterns and mutual coupling are not modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,8 +37,7 @@ class WaveSpec:
         return 2.0 * np.pi / self.wavelength
 
 
-def make_taper(n_elements: int, n_edge: int, depth_db: float,
-               endpoint: str = "inclusive") -> np.ndarray:
+def make_taper(n_elements: int, n_edge: int, depth_db: float, endpoint: str) -> np.ndarray:
     """Linear-in-dB edge taper, returned in linear scale.
 
     The ``n_edge`` elements on each side ramp from ``depth_db`` at the
@@ -73,15 +71,12 @@ def make_taper(n_elements: int, n_edge: int, depth_db: float,
 class ArrayLayout:
     """Uniform linear array along the x-axis, centered on x = 0.
 
-    ``taper`` holds per-element linear-scale amplitude coefficients and
-    ``excitation_errors`` optional per-element complex perturbations that
-    multiply the taper as (1 + eps) * t.
+    ``taper`` holds per-element linear-scale amplitude coefficients.
     """
 
     n_elements: int
     ies: float
     taper: np.ndarray
-    excitation_errors: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n_elements < 1:
@@ -92,11 +87,6 @@ class ArrayLayout:
         if taper.shape != (self.n_elements,):
             raise ValueError(f"taper must have shape ({self.n_elements},)")
         object.__setattr__(self, "taper", taper)
-        if self.excitation_errors is not None:
-            err = np.asarray(self.excitation_errors, dtype=complex)
-            if err.shape != (self.n_elements,):
-                raise ValueError(f"excitation_errors must have shape ({self.n_elements},)")
-            object.__setattr__(self, "excitation_errors", err)
 
     @property
     def positions(self) -> np.ndarray:
@@ -107,17 +97,14 @@ class ArrayLayout:
     def length(self) -> float:
         return (self.n_elements - 1) * self.ies
 
-    def with_errors(self, errors: Optional[np.ndarray]) -> "ArrayLayout":
-        return ArrayLayout(self.n_elements, self.ies, self.taper, errors)
-
 
 def element_fields(layout: ArrayLayout, wave: WaveSpec,
                    points: np.ndarray) -> np.ndarray:
     """Per-element field contributions t_i * exp(-j*k*r_i) / (4*pi*r_i).
 
     ``points`` has shape (M, 2); the result has shape (M, n_elements).
-    Excitation errors are NOT applied here, so batched error studies can
-    reuse this matrix: E = element_fields @ (1 + eps).
+    The tolerance search applies excitation errors to this matrix as
+    E = element_fields @ (1 + eps).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     pos = layout.positions
@@ -136,10 +123,7 @@ def element_fields(layout: ArrayLayout, wave: WaveSpec,
 def field_at_points(layout: ArrayLayout, wave: WaveSpec,
                     points: np.ndarray) -> np.ndarray:
     """Total E_z at each of the (M, 2) points by superposition."""
-    contrib = element_fields(layout, wave, points)
-    if layout.excitation_errors is None:
-        return contrib.sum(axis=1)
-    return contrib @ (1.0 + layout.excitation_errors)
+    return element_fields(layout, wave, points).sum(axis=1)
 
 
 def field_at(layout: ArrayLayout, wave: WaveSpec, point) -> complex:

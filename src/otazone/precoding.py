@@ -56,9 +56,8 @@ def build_channel(ma_layout: ArrayLayout, distance: float, alpha_deg: float,
     from the zone center, at angle alpha from boresight (zone center to
     main-array center), broadside to the zone center. So its row is the
     main array's field at the DUT points expressed in the interferer's own
-    frame. Excitation errors of ``ma_layout``, if any, apply to both rows.
-    Entries are normalized to unit mean-square entry so the SNR axis is
-    per receive element.
+    frame. Entries are normalized to unit mean-square entry so the SNR
+    axis is per receive element.
     """
     pts = dut.points(wave, distance)
     a = np.radians(alpha_deg)
@@ -93,14 +92,8 @@ def zf_weights(h: np.ndarray) -> np.ndarray:
     return h.conj().T @ inv
 
 
-def perturb_weights(w: np.ndarray, sigma_dut_db: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Entrywise (1 + eps) distortion with the complex Gaussian error model."""
-    if sigma_dut_db == 0.0:
-        return w.copy()
-    model = ExcitationErrorModel(sigma_dut_db)
-    eps = draw_errors(model, w.size, rng).reshape(w.shape)
-    return (1.0 + eps) * w
+# The two combiners of the study, in output order.
+COMBINERS = {"MF": mf_weights, "ZF": zf_weights}
 
 
 def sinr(h: np.ndarray, w: np.ndarray, snr_db: float,
@@ -146,7 +139,6 @@ class StudyConfig:
     snr_db: Tuple[float, ...] = (-10.0, 0.0, 10.0, 20.0)
     sigma_dut_db: Tuple[float, ...] = tuple(np.round(np.arange(0.0, 2.0 + 1e-9, 0.1), 10))
     alpha_offsets_deg: Tuple[float, ...] = (0.0, 15.0)
-    precoders: Tuple[str, ...] = ("MF", "ZF")
     n_mc: int = 1000
     rng_seed: int = 0
     dut: DutArraySpec = field(default_factory=DutArraySpec)
@@ -154,6 +146,10 @@ class StudyConfig:
     def __post_init__(self):
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        if any(s < 0 for s in self.sigma_dut_db):
+            raise ValueError("sigma_dut_db values must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -186,8 +182,7 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
         for ai, off in enumerate(cfg.alpha_offsets_deg):
             alpha = a_min + off
             h = build_channel(layout, dist, alpha, cfg.dut, wave)
-            weights = {prec: (mf_weights(h) if prec == "MF" else zf_weights(h))
-                       for prec in cfg.precoders}
+            weights = {prec: combiner(h) for prec, combiner in COMBINERS.items()}
             for si, sigma in enumerate(cfg.sigma_dut_db):
                 n_dut = cfg.dut.n_elements
                 if sigma == 0.0:
@@ -198,8 +193,7 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
                     for it in range(cfg.n_mc):
                         rng = np.random.default_rng([cfg.rng_seed, gi, ai, si, it])
                         eps_batch[it] = draw_errors(model, 2 * n_dut, rng).reshape(n_dut, 2)
-                for prec in cfg.precoders:
-                    w = weights[prec]
+                for prec, w in weights.items():
                     noise_norms = np.sum(np.abs(w) ** 2, axis=0)
                     w_batch = (1.0 + eps_batch) * w[None, :, :]
                     for snr in cfg.snr_db:

@@ -8,13 +8,13 @@ from typing import List, Tuple
 import numpy as np
 
 from .field import WaveSpec
-from .testzone import (ChamberSpec, FomLimits, FomReport, TIER1, TIER2, TIER3,
-                       build_mesh, field_over_mesh, fom_values)
+from .testzone import (TIERS, ChamberSpec, FomReport, build_mesh, field_over_mesh,
+                       fom_values)
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian (ies, D) grid, in meters, with the limit tiers to score.
+    """Cartesian (ies, D) grid, in meters.
 
     The distance axis must stay below half the Fraunhofer distance of the
     shortest array, ((n_elements - 1) * min_ies)^2 / lambda, so the sweep
@@ -23,7 +23,6 @@ class SweepGrid:
 
     ies_values: Tuple[float, ...]
     d_values: Tuple[float, ...]
-    tiers: Tuple[FomLimits, ...] = (TIER1, TIER2, TIER3)
 
     def __post_init__(self):
         ies = np.asarray(self.ies_values, dtype=float)
@@ -53,7 +52,7 @@ class SweepCell:
     r_mag: float
     sigma_mag: float
     r_phs: float
-    reports: Tuple[FomReport, ...]  # one per tier, same FoM values
+    reports: Tuple[FomReport, ...]  # one per entry of TIERS, same FoM values
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class ComplianceMap:
 
 def run_sweep(grid: SweepGrid, wave: WaveSpec,
               chamber: ChamberSpec = ChamberSpec()) -> ComplianceMap:
-    """Evaluate the FoM once per (ies, D) cell and score every tier.
+    """Evaluate the FoM once per (ies, D) cell and score every tier of TIERS.
 
     The grid must pass ``validate_cap`` for the chamber's array size. The
     field is computed with zero excitation errors, so the map is
@@ -91,7 +90,7 @@ def run_sweep(grid: SweepGrid, wave: WaveSpec,
             except Exception as exc:
                 kind = ValueError if isinstance(exc, ValueError) else RuntimeError
                 raise kind(f"sweep cell (ies={ies}, d={d}) failed: {exc}") from exc
-            reports = tuple(FomReport.from_values(rm, sm, rp, tier) for tier in grid.tiers)
+            reports = tuple(FomReport.from_values(rm, sm, rp, tier) for tier in TIERS)
             cells.append(SweepCell(ies, d, layout.length, rm, sm, rp, reports))
     return ComplianceMap(grid=grid, cells=tuple(cells))
 
@@ -103,6 +102,7 @@ def compact_frontier(cmap: ComplianceMap, tier_index: int) -> List[Tuple[float, 
     small in both array length and distance and strictly smaller in one.
     In (L, D) order a pair can only be dominated by an earlier one, so it
     survives exactly when its D is below every D before it (a skyline).
+    ``tier_index`` picks the tier, ``TIERS[tier_index]``.
     """
     frontier: List[Tuple[float, float]] = []
     for length, d in sorted({(c.length, c.d) for c in cmap.cells if c.reports[tier_index].passed}):

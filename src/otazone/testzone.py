@@ -89,10 +89,6 @@ class TestZoneMesh:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_slices)
-
 
 def build_mesh(spec: TestZoneSpec) -> TestZoneMesh:
     """Grid points inside the disc, anchored so (0, D) is a grid node.
@@ -212,6 +208,8 @@ class FomLimits:
 TIER1 = FomLimits(sigma_mag_max=0.25, r_mag_max=1.0, r_phs_max=10.0)
 TIER2 = FomLimits(sigma_mag_max=0.225, r_mag_max=0.9, r_phs_max=9.0)
 TIER3 = FomLimits(sigma_mag_max=0.2, r_mag_max=0.8, r_phs_max=8.0)
+# The standard tiers in order: tier n is TIERS[n - 1].
+TIERS = (TIER1, TIER2, TIER3)
 
 
 @dataclass(frozen=True)

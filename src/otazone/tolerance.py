@@ -70,6 +70,8 @@ class ToleranceSearchConfig:
             raise ValueError("max_sigma_db must be at least one step_db")
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.fail_rule not in ("any", "majority"):
             raise ValueError("fail_rule must be 'any' or 'majority'")
 

@@ -11,12 +11,12 @@ from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config()
-        assert cfg["frequency_hz"] == 28e9
-        assert cfg["n_elements"] == 100
+        assert cfg.raw["frequency_hz"] == 28e9
+        assert cfg.raw["n_elements"] == 100
         assert cfg.wavelength == pytest.approx(299792458.0 / 28e9, rel=1e-15)
         zone = cfg.chamber.zone(cfg.wave, 591 * cfg.wavelength)
         assert zone.radius == pytest.approx(99 / 8 * cfg.wavelength, rel=1e-12)
-        assert [round(g[0], 2) for g in cfg["geometries_lambda"]] == [1.35, 1.2, 1.0, 0.7, 0.7]
+        assert [round(g[0], 2) for g in cfg.raw["geometries_lambda"]] == [1.35, 1.2, 1.0, 0.7, 0.7]
 
     def test_default_d_axis_range(self):
         cfg = load_config()
@@ -71,6 +71,8 @@ class TestLoadConfig:
         {"max_sigma_db": -1.0},
         {"max_sigma_db": 0.005},
         {"limits": {"sigma_mag_db": 0.0, "r_mag_db": 1.0, "r_phs_deg": 10.0}},
+        {"seed": -1},
+        {"sigma_dut_db": [-1.0]},
     ])
     def test_invalid_values_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -86,8 +88,8 @@ class TestLoadConfig:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"seed": 7, "n_mc_tolerance": 5}))
         cfg = load_config(path=str(p))
-        assert cfg["seed"] == 7 and cfg["n_mc_tolerance"] == 5
-        assert cfg["n_elements"] == 100  # default survives
+        assert cfg.raw["seed"] == 7 and cfg.raw["n_mc_tolerance"] == 5
+        assert cfg.raw["n_elements"] == 100  # default survives
 
     def test_canonical_json_is_key_order_independent(self):
         a = load_config({"seed": 3, "n_elements": 100})

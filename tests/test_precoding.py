@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from otazone import (DutArraySpec, StudyConfig, alpha_min_deg,
-                     build_channel, ChamberSpec, mf_weights, perturb_weights,
+from otazone import (DutArraySpec, ExcitationErrorModel, StudyConfig, alpha_min_deg,
+                     build_channel, ChamberSpec, draw_errors, mf_weights,
                      run_study, sinr, sum_rate, zf_weights)
 
 from oracles import sinr_symbol_oracle, zf_oracle
@@ -127,19 +127,6 @@ class TestWeights:
         with pytest.raises(np.linalg.LinAlgError):
             zf_weights(h)
 
-    def test_perturb_zero_sigma_copies(self):
-        w = mf_weights(random_channel(np.random.default_rng(4)))
-        out = perturb_weights(w, 0.0, np.random.default_rng(0))
-        assert np.array_equal(out, w) and out is not w
-
-    def test_perturb_statistics(self):
-        w = np.ones((2000, 2), dtype=complex)
-        out = perturb_weights(w, 1.0, np.random.default_rng(5))
-        s = 10 ** (1.0 / 20.0) - 1.0
-        ratio = out / w - 1.0
-        assert np.std(ratio.real) == pytest.approx(s, rel=0.05)
-        assert np.std(ratio.imag) == pytest.approx(s, rel=0.05)
-
 
 class TestSinr:
     def test_matches_symbol_oracle(self):
@@ -193,7 +180,9 @@ class TestSinr:
         h = random_channel(rng, n_rx=8)
         w = zf_weights(h)
         noise = np.sum(np.abs(w) ** 2, axis=0)
-        w_batch = np.stack([perturb_weights(w, 0.5, rng) for _ in range(5)])
+        model = ExcitationErrorModel(0.5)
+        w_batch = np.stack([(1 + draw_errors(model, w.size, rng).reshape(w.shape)) * w
+                            for _ in range(5)])
         got = sinr(h, w_batch, 10.0, noise_norms=noise)
         assert got.shape == (5, 2)
         want = [sinr(h, wb, 10.0, noise_norms=noise) for wb in w_batch]
@@ -203,7 +192,10 @@ class TestSinr:
     def test_batched_matches_symbol_oracle(self):
         rng = np.random.default_rng(11)
         h = random_channel(rng, n_rx=8)
-        w_batch = np.stack([perturb_weights(zf_weights(h), 1.0, rng) for _ in range(4)])
+        w = zf_weights(h)
+        model = ExcitationErrorModel(1.0)
+        w_batch = np.stack([(1 + draw_errors(model, w.size, rng).reshape(w.shape)) * w
+                            for _ in range(4)])
         got = sinr(h, w_batch, 0.0)
         want = sinr_symbol_oracle(h, w_batch[2], 0.0, n_symbols=400_000)
         assert got[2] == pytest.approx(want, rel=0.02)

@@ -65,6 +65,20 @@ class TestLevelFomBatch:
         ref = fom_values(mesh, contrib @ (1.0 + eps[:, 0]))
         assert (rm[0], sm[0], rp[0]) == pytest.approx(ref, rel=1e-10)
 
+    def test_errors_enter_per_element(self, wave, lam):
+        # the realization's field summed element by element, without element_fields:
+        # E = sum_i (1 + eps_i) * t_i * exp(-j*k*r_i) / (4*pi*r_i)
+        layout = ChamberSpec().layout(0.7 * lam)
+        mesh = build_mesh(TestZoneSpec(300 * lam, lam / 4, lam / 8))
+        eps = draw_errors(ExcitationErrorModel(0.5), 100, np.random.default_rng(5))
+        direct = np.zeros(mesh.n_points, dtype=complex)
+        for x, t, e in zip(layout.positions, layout.taper, eps):
+            r = np.hypot(mesh.points[:, 0] - x, mesh.points[:, 1])
+            direct += (1 + e) * t * np.exp(-1j * wave.wavenumber * r) / (4 * np.pi * r)
+        contrib = element_fields(layout, wave, mesh.points)
+        rm, sm, rp = level_fom_batch(contrib, mesh, eps[:, None])
+        assert (rm[0], sm[0], rp[0]) == pytest.approx(fom_values(mesh, direct), rel=1e-9)
+
     def test_batch_columns_independent(self, wave, lam):
         layout = ChamberSpec().layout(1.0 * lam)
         mesh = build_mesh(TestZoneSpec(200 * lam, lam, lam / 8))
