@@ -5,9 +5,9 @@ every cell against the three limit tiers with zero excitation errors, and
 prints the tier-1 compliance map plus the Pareto frontier of compact
 setups (smallest array length L and distance D that still comply).
 
-The full-resolution grid (0.05λ spacing steps, 1λ distance steps) is a
-few thousand cells; this demo uses a coarse subset so it finishes in
-about a minute.
+The full-resolution grid (0.05λ spacing steps, 1λ distance steps) is
+21 × 2 411 cells and takes about 5 min; this demo uses a coarse subset
+so it finishes in about 2 s (one core, one BLAS thread).
 
 Run:  python3 demos/02_compliance_map.py
 """

@@ -123,6 +123,8 @@ def _validate(cfg: Dict[str, object]) -> None:
     extra = set(cfg["limits"]) - set(_DEFAULTS["limits"])
     if extra:
         raise ConfigError(f"unknown limit keys: {sorted(extra)}")
+    if not cfg["geometries_lambda"]:
+        raise ConfigError("geometries_lambda must list at least one [ies_lambda, d_lambda]")
     for g in cfg["geometries_lambda"]:
         if len(g) != 2 or g[0] <= 0 or g[1] <= 0:
             raise ConfigError(f"bad geometry entry {g}; expected [ies_lambda, d_lambda] > 0")

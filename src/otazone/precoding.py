@@ -148,6 +148,8 @@ class StudyConfig:
             raise ValueError("n_mc must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
+        if not (self.snr_db and self.sigma_dut_db and self.alpha_offsets_deg):
+            raise ValueError("snr_db, sigma_dut_db and alpha_offsets_deg must be non-empty")
         if any(s < 0 for s in self.sigma_dut_db):
             raise ValueError("sigma_dut_db values must be >= 0")
 

@@ -1,26 +1,61 @@
-"""Every function the benchmark tracer wraps still exists where it looks it up.
+"""Every function the benchmark tracer wraps still exists where it looks it up,
+and each workload's CLI run still reaches every span the benchmark expects.
 
 The tracer skips a target that no longer exists and only counts it in
-``trace.missing_targets``, so a rename or deletion would otherwise go
-unnoticed until a benchmark run.
+``trace.missing_targets``, so a rename, a deletion or a moved call path
+would otherwise go unnoticed until a benchmark run.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from otazone.cli import main
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def load_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
+
+
+def load_targets():
+    return load_tracer().TARGETS
 
 
 @pytest.mark.parametrize("module, attr", [(t[0], t[1]) for t in load_targets()])
 def test_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+# tiny configs of the three benchmark workloads: a zone of radius 2 lambda, n_mc <= 3
+TINY = {
+    "sweep": {"tz_radius_lambda": 2.0, "ies_lambda": [0.7], "d_lambda": [300.0, 301.0]},
+    "tolerance": {"tz_radius_lambda": 2.0, "geometries_lambda": [[0.7, 591.0]],
+                  "n_mc_tolerance": 3, "sigma_step_db": 0.1, "max_sigma_db": 0.3},
+    "precode": {"geometries_lambda": [[0.7, 591.0]], "n_mc_precode": 3, "snr_db": [10.0],
+                "sigma_dut_db": [0.0, 0.5], "dut_elements": 4},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_cli_run_reaches_expected_spans(kind, tmp_path):
+    tracing = load_tracer()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY[kind]))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.start_op()
+        assert main(["--config", str(cfg), "-o", str(tmp_path / "out.csv"), kind]) == 0
+        self_s, _ = tracer.finish_op()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert [s for s in tracing.EXPECTED[kind] if s not in self_s] == []

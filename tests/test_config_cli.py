@@ -73,6 +73,10 @@ class TestLoadConfig:
         {"limits": {"sigma_mag_db": 0.0, "r_mag_db": 1.0, "r_phs_deg": 10.0}},
         {"seed": -1},
         {"sigma_dut_db": [-1.0]},
+        {"snr_db": []},
+        {"sigma_dut_db": []},
+        {"alpha_offsets_deg": []},
+        {"geometries_lambda": []},
     ])
     def test_invalid_values_rejected(self, patch):
         with pytest.raises(ConfigError):

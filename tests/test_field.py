@@ -90,6 +90,22 @@ class TestFieldProperties:
             assert abs(left) == pytest.approx(abs(right), rel=1e-10)
             assert np.angle(left) == pytest.approx(np.angle(right), abs=1e-10)
 
+    @pytest.mark.parametrize("n_elements, taper_edge", [(100, 25), (41, 10), (40, 0), (7, 3)])
+    @pytest.mark.parametrize("endpoint", ["exclusive", "inclusive"])
+    def test_chamber_layout_is_mirror_symmetric(self, wave, lam, n_elements, taper_edge,
+                                                endpoint):
+        # the sweep computes only x >= 0 and reads the field at -x from +x
+        chamber = ChamberSpec(n_elements=n_elements, taper_edge=taper_edge,
+                              taper_endpoint=endpoint)
+        for ies in (0.5, 0.75, 1.35):
+            layout = chamber.layout(ies * lam)
+            assert np.array_equal(layout.taper, layout.taper[::-1])
+            assert np.array_equal(layout.positions, -layout.positions[::-1])
+            pts = np.array([[0.125, 40.0], [3.375, 286.0], [12.25, 591.625]]) * lam
+            right = field_at_points(layout, wave, pts)
+            left = field_at_points(layout, wave, pts * [-1.0, 1.0])
+            assert np.all(np.abs(left - right) <= 1e-13 * np.abs(right))
+
     def test_far_field_phase_flattens(self, wave, lam):
         layout = ChamberSpec().layout(0.5 * lam)
         y = 1e6 * lam

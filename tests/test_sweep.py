@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otazone import (TIER1, ComplianceMap, SweepGrid,
+from otazone import (TIER1, TIERS, ComplianceMap, SweepGrid,
                      compact_frontier, load_config, run_sweep)
 from otazone import sweep
 from otazone.sweep import SweepCell
@@ -108,6 +108,17 @@ class TestRunSweep:
         with pytest.raises(KeyError):
             cmap.cell(0.7 * lam, 125 * lam)
 
+    def test_cell_lookup_by_index(self, wave, lam):
+        ies = tuple(np.array([0.6, 0.9, 1.3]) * lam)
+        d = tuple((100.0 + np.arange(40)) * lam)
+        cmap = run_sweep(SweepGrid(ies, d), wave, ChamberSpec(tz_radius_lambda=1.0))
+        for i in ies:
+            for dj in d:
+                c = cmap.cell(i, dj)
+                assert (c.ies, c.d) == (i, dj)
+        with pytest.raises(KeyError, match="no cell at"):
+            cmap.cell(ies[1], 100.5 * lam)
+
     def test_failure_wrapped_with_coordinates(self, wave, lam):
         grid = SweepGrid((0.5 * lam,), (2 * lam,))  # zone would hit the array
         with pytest.raises(ValueError, match="sweep cell"):
@@ -121,6 +132,49 @@ class TestRunSweep:
         grid = SweepGrid((0.7 * lam,), (100 * lam,))
         with pytest.raises(RuntimeError, match=r"sweep cell \(ies="):
             run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=1.0))
+
+
+def _sweep_cases(rng):
+    """(chamber, ies in lambda, D in lambda) sweeps that mix every way zones share rows.
+
+    Each D axis holds a run at 1 lambda steps (rows shared by neighbours),
+    distances spaced wider than a zone (rows no zone uses), and three
+    distances 0.03 lambda off the lattice (a row group of their own).
+    """
+    chambers = [ChamberSpec(tz_radius_lambda=2.0),
+                ChamberSpec(tz_radius_lambda=3.0, mesh_pitch_lambda=0.25),
+                ChamberSpec(n_elements=41, taper_edge=10, tz_radius_lambda=2.5),
+                ChamberSpec(taper_edge=0, tz_radius_lambda=2.0)]
+    cases = []
+    for chamber in chambers:
+        ies = np.sort(rng.choice(np.round(np.arange(0.5, 1.51, 0.05), 2), 2, replace=False))
+        start = int(rng.integers(60, 250))  # 41 elements at 0.5 lambda: cap 400 lambda
+        run = start + np.arange(20)
+        wide = start + 25 + 40 * np.arange(1, 4)
+        off = np.array([run[3], run[4], wide[0]]) + 0.03
+        d = np.unique(np.concatenate([run, wide, off]).astype(float))
+        cases.append((chamber, ies, d))
+    # the default chamber, one IES; a run of two and a zone two rows off them
+    cases.append((ChamberSpec(), np.array([0.7]), np.array([564.0, 565.0, 565.25])))
+    return cases
+
+
+def test_sweep_matches_per_cell_evaluation(wave, lam):
+    """The shared-row, mirrored sweep reproduces evaluate_fom cell by cell."""
+    n_cells = 0
+    for chamber, ies, d in _sweep_cases(np.random.default_rng(7)):
+        cmap = run_sweep(SweepGrid(tuple(ies * lam), tuple(d * lam)), wave, chamber)
+        assert [(c.ies, c.d) for c in cmap.cells] == [
+            (i * lam, dj * lam) for i in ies for dj in d]
+        for c in cmap.cells:
+            rep = evaluate_fom(chamber.layout(c.ies), wave, chamber.zone(wave, c.d), TIER1)
+            assert (c.r_mag, c.sigma_mag, c.r_phs) == pytest.approx(
+                (rep.r_mag, rep.sigma_mag, rep.r_phs), rel=1e-9, abs=1e-9)
+            assert [r.passed for r in c.reports] == [
+                FomReport.from_values(rep.r_mag, rep.sigma_mag, rep.r_phs, tier).passed
+                for tier in TIERS]
+        n_cells += len(cmap.cells)
+    assert n_cells >= 200
 
 
 def _synthetic_map(points):
