@@ -8,12 +8,11 @@ evaluates MF/ZF uplink sum rates under DUT weight errors.
 
 __version__ = "0.1.0"
 
-from .field import (ArrayLayout, WaveSpec, element_fields, field_at,
-                    field_at_points, make_taper)
+from .field import (ArrayLayout, WaveSpec, element_fields, field_at_points,
+                    make_taper)
 from .testzone import (ChamberSpec, FomLimits, FomReport, TestZoneMesh,
                        TestZoneSpec, TIER1, TIER2, TIER3, TIERS, build_mesh,
-                       evaluate_fom, field_over_mesh, fom_values, r_mag,
-                       r_phs, sigma_mag)
+                       evaluate_fom, field_over_mesh, fom_values)
 from .sweep import ComplianceMap, SweepGrid, compact_frontier, run_sweep
 from .tolerance import (ExcitationErrorModel, ToleranceResult,
                         ToleranceSearchConfig, draw_errors, tolerance_search)

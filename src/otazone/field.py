@@ -81,8 +81,8 @@ class ArrayLayout:
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
-        if self.ies <= 0:
-            raise ValueError("ies must be positive")
+        if not (np.isfinite(self.ies) and self.ies > 0):
+            raise ValueError("ies must be positive and finite")
         taper = np.asarray(self.taper, dtype=float)
         if taper.shape != (self.n_elements,):
             raise ValueError(f"taper must have shape ({self.n_elements},)")
@@ -125,7 +125,3 @@ def field_at_points(layout: ArrayLayout, wave: WaveSpec,
     """Total E_z at each of the (M, 2) points by superposition."""
     return element_fields(layout, wave, points).sum(axis=1)
 
-
-def field_at(layout: ArrayLayout, wave: WaveSpec, point) -> complex:
-    """Total E_z at a single (x, y) point."""
-    return complex(field_at_points(layout, wave, np.asarray(point, dtype=float).reshape(1, 2))[0])

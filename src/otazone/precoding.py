@@ -190,11 +190,9 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
                 if sigma == 0.0:
                     eps_batch = np.zeros((1, n_dut, 2), dtype=complex)
                 else:
-                    model = ExcitationErrorModel(sigma)
-                    eps_batch = np.empty((cfg.n_mc, n_dut, 2), dtype=complex)
-                    for it in range(cfg.n_mc):
-                        rng = np.random.default_rng([cfg.rng_seed, gi, ai, si, it])
-                        eps_batch[it] = draw_errors(model, 2 * n_dut, rng).reshape(n_dut, 2)
+                    keys = [(cfg.rng_seed, gi, ai, si, it) for it in range(cfg.n_mc)]
+                    eps_batch = draw_errors(ExcitationErrorModel(sigma), 2 * n_dut,
+                                            keys).reshape(cfg.n_mc, n_dut, 2)
                 for prec, w in weights.items():
                     noise_norms = np.sum(np.abs(w) ** 2, axis=0)
                     w_batch = (1.0 + eps_batch) * w[None, :, :]

@@ -104,21 +104,19 @@ def _half_strip_field(layout: ArrayLayout, wave: WaveSpec, row_y: np.ndarray,
 
     Returns the field, row after row, and each row's start index in it
     (plus the total at the end). A row of width -1 has no points. The
-    field is synthesized a few whole rows at a time, at most
-    ``max_points`` points per call unless one row is longer.
+    field is synthesized at most ``max_points`` points per call.
     """
     counts = widths + 1
     row_start = np.concatenate(([0], np.cumsum(counts)))
-    used = np.flatnonzero(counts)
     field = np.empty(row_start[-1], dtype=complex)
-    step = max(1, max_points // counts.max())
-    for i in range(0, used.size, step):
-        rows = used[i:i + step]
-        lo, hi = row_start[rows[0]], row_start[rows[-1] + 1]
-        row_of_point = np.repeat(rows, counts[rows])
-        x = (np.arange(lo, hi) - row_start[row_of_point]) * pitch
-        slices = tuple(slice(s - lo, s - lo + c) for s, c in zip(row_start[rows], counts[rows]))
-        strip = TestZoneMesh(np.column_stack([x, row_y[row_of_point]]), slices)
+    for lo in range(0, field.size, max_points):
+        hi = min(lo + max_points, field.size)
+        # the rows holding points lo..hi-1, and each of those points' row
+        first, last = np.searchsorted(row_start, [lo, hi - 1], side="right") - 1
+        row = np.repeat(np.arange(first, last + 1), counts[first:last + 1])
+        row = row[lo - row_start[first]:hi - row_start[first]]
+        x = (np.arange(lo, hi) - row_start[row]) * pitch
+        strip = TestZoneMesh(np.column_stack([x, row_y[row]]), ())
         field[lo:hi] = field_over_mesh(layout, wave, strip)
     return field, row_start
 
@@ -173,7 +171,7 @@ def run_sweep(grid: SweepGrid, wave: WaveSpec,
         for group, widths, row_y in strips:
             with _cell_errors(ies, grid.d_values[group[0][0]]):
                 field, row_start = _half_strip_field(layout, wave, row_y, widths, pitch,
-                                                     mesh.n_points // 2)
+                                                     max(1, mesh.n_points // 2))
             for j, k in group:
                 with _cell_errors(ies, grid.d_values[j]):
                     rm, sm, rp = fom_values(mesh, field[row_start[k + b] + a])

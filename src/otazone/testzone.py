@@ -28,6 +28,8 @@ class TestZoneSpec:
     pitch: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.distance, self.radius, self.pitch])):
+            raise ValueError("test zone distance, radius and pitch must be finite")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.pitch <= 0:
@@ -104,15 +106,11 @@ def build_mesh(spec: TestZoneSpec) -> TestZoneMesh:
     for b in range(-n_max, n_max + 1):
         half = np.floor(np.sqrt(max(r2 - b * b, 0.0)))
         a = np.arange(-half, half + 1)
-        if a.size == 0:
-            continue
         xs = a * spec.pitch
         ys = np.full(a.size, spec.distance + b * spec.pitch)
         rows.append(np.column_stack([xs, ys]))
         slices.append(slice(start, start + a.size))
         start += a.size
-    if start == 0:
-        raise ValueError("mesh contains no points; radius too small for pitch")
     return TestZoneMesh(points=np.concatenate(rows), row_slices=tuple(slices))
 
 
@@ -153,22 +151,6 @@ def _worst_row_range(mesh: TestZoneMesh, values: np.ndarray) -> np.ndarray:
     return worst
 
 
-def r_mag(values: np.ndarray) -> float:
-    """Dynamic range of the field magnitudes in dB."""
-    values = np.ravel(values)
-    if values.size == 0:
-        raise ValueError("need at least one sample")
-    return float(np.ptp(_magnitudes_db(values)))
-
-
-def sigma_mag(values: np.ndarray) -> float:
-    """Sample standard deviation (divisor N-1) of the dB magnitudes."""
-    values = np.ravel(values)
-    if values.size < 2:
-        raise ValueError("need at least two samples")
-    return float(np.std(_magnitudes_db(values), ddof=1))
-
-
 def circular_range_deg(phases_deg: np.ndarray) -> float:
     """Wrap-correct phase spread: 360 minus the largest circular gap, capped at 180.
 
@@ -180,11 +162,6 @@ def circular_range_deg(phases_deg: np.ndarray) -> float:
     if phases.size == 0:
         raise ValueError("empty phase row")
     return float(_circular_range(phases))
-
-
-def r_phs(mesh: TestZoneMesh, values: np.ndarray) -> float:
-    """Worst-row circular phase range in degrees."""
-    return float(_worst_row_range(mesh, np.ravel(values)))
 
 
 @dataclass(frozen=True)

@@ -156,10 +156,12 @@ class TestCliFom:
         assert code == 1
         assert message in capsys.readouterr().err
 
-    def test_infeasible_geometry_exit_code(self, tmp_path):
-        # D smaller than the zone radius violates the mesh precondition
-        code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", "0.7",
-                                     "--d-lambda", "5"])
+    @pytest.mark.parametrize("ies, d", [
+        ("0.7", "5"),  # D smaller than the zone radius violates the mesh precondition
+        ("0.7", "nan"), ("0.7", "inf"), ("nan", "591"), ("inf", "591"),
+    ])
+    def test_infeasible_geometry_exit_code(self, tmp_path, ies, d):
+        code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", ies, "--d-lambda", d])
         assert code == 1
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otazone import ArrayLayout, ChamberSpec, WaveSpec, field_at, field_at_points, make_taper
+from otazone import ArrayLayout, ChamberSpec, WaveSpec, field_at_points, make_taper
 
 from oracles import field_oracle, taper_db_oracle
 
@@ -51,7 +51,7 @@ class TestMakeTaper:
 class TestFieldAt:
     def test_single_element_closed_form(self, wave, lam):
         layout = ArrayLayout(1, lam, np.ones(1))
-        e = field_at(layout, wave, (0.0, lam))
+        e = field_at_points(layout, wave, [[0.0, lam]])[0]
         assert abs(e) == pytest.approx(1.0 / (4 * np.pi * lam), rel=1e-12)
         # one full wavelength of travel: phase wraps back to 0
         assert np.angle(e) == pytest.approx(0.0, abs=1e-9)
@@ -61,34 +61,35 @@ class TestFieldAt:
         y = 50 * lam
         r = np.hypot(lam / 4, y)
         expected = 2 * np.exp(-1j * wave.wavenumber * r) / (4 * np.pi * r)
-        assert field_at(layout, wave, (0.0, y)) == pytest.approx(expected, rel=1e-12)
+        got = field_at_points(layout, wave, [[0.0, y]])[0]
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_high_precision_oracle_at_tz_center(self, wave, lam):
         layout = ChamberSpec().layout(0.7 * lam)
-        got = field_at(layout, wave, (0.0, 591 * lam))
+        got = field_at_points(layout, wave, [[0.0, 591 * lam]])[0]
         want = field_oracle(wave.frequency, 0.7, layout.taper, (0.0, 591.0))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_frozen_regression_fixture(self, wave, lam):
         # mpmath 40-digit summation, default (exclusive) taper, TZ center at 591 lam
-        got = field_at(ChamberSpec().layout(0.7 * lam), wave, (0.0, 591 * lam))
+        got = field_at_points(ChamberSpec().layout(0.7 * lam), wave, [[0.0, 591 * lam]])[0]
         assert got.real == pytest.approx(0.32963981873099670721, rel=1e-10)
         assert got.imag == pytest.approx(-0.28440683834698273669, rel=1e-10)
 
     def test_rejects_point_on_element(self, wave, lam):
         layout = ChamberSpec().layout(0.5 * lam)
         with pytest.raises(ValueError):
-            field_at(layout, wave, (layout.positions[3], 0.0))
+            field_at_points(layout, wave, [[layout.positions[3], 0.0]])
 
 
 class TestFieldProperties:
     def test_mirror_symmetry(self, wave, lam):
         layout = ChamberSpec().layout(0.8 * lam)
-        for x, y in [(3.7, 120.0), (11.2, 410.5), (0.9, 55.0)]:
-            left = field_at(layout, wave, (-x * lam, y * lam))
-            right = field_at(layout, wave, (x * lam, y * lam))
-            assert abs(left) == pytest.approx(abs(right), rel=1e-10)
-            assert np.angle(left) == pytest.approx(np.angle(right), abs=1e-10)
+        pts = np.array([(3.7, 120.0), (11.2, 410.5), (0.9, 55.0)]) * lam
+        left = field_at_points(layout, wave, pts * [-1.0, 1.0])
+        right = field_at_points(layout, wave, pts)
+        assert np.abs(left) == pytest.approx(np.abs(right), rel=1e-10)
+        assert np.angle(left) == pytest.approx(np.angle(right), abs=1e-10)
 
     @pytest.mark.parametrize("n_elements, taper_edge", [(100, 25), (41, 10), (40, 0), (7, 3)])
     @pytest.mark.parametrize("endpoint", ["exclusive", "inclusive"])
@@ -110,10 +111,8 @@ class TestFieldProperties:
         layout = ChamberSpec().layout(0.5 * lam)
         y = 1e6 * lam
         k = wave.wavenumber
-        phases = []
-        for x in np.linspace(-2, 2, 5) * lam:
-            e = field_at(layout, wave, (x, y))
-            phases.append(np.angle(e * np.exp(1j * k * y) * y))
+        pts = np.column_stack([np.linspace(-2, 2, 5) * lam, np.full(5, y)])
+        phases = np.angle(field_at_points(layout, wave, pts) * np.exp(1j * k * y) * y)
         assert np.ptp(np.unwrap(phases)) < 1e-3
 
     def test_superposition_in_taper(self, wave, lam):
@@ -134,9 +133,9 @@ class TestFieldProperties:
         lam = wave.wavelength
         base = ChamberSpec().layout(0.6 * lam)
         scaled = ArrayLayout(100, 0.6 * lam, base.taper * scale)
-        p = (1.3 * lam, 200 * lam)
-        assert field_at(scaled, wave, p) == pytest.approx(
-            scale * field_at(base, wave, p), rel=1e-12)
+        p = [[1.3 * lam, 200 * lam]]
+        assert field_at_points(scaled, wave, p)[0] == pytest.approx(
+            scale * field_at_points(base, wave, p)[0], rel=1e-12)
 
 
 class TestLayoutInvariants:
@@ -145,6 +144,11 @@ class TestLayoutInvariants:
         d = np.diff(layout.positions)
         assert d == pytest.approx(np.full(99, 0.7 * lam), rel=1e-12)
         assert abs(layout.positions.sum()) < 1e-9 * lam
+
+    @pytest.mark.parametrize("ies", [0.0, -1e-3, np.nan, np.inf])
+    def test_rejects_bad_spacing(self, ies):
+        with pytest.raises(ValueError, match="ies must be positive and finite"):
+            ArrayLayout(3, ies, np.ones(3))
 
     def test_length(self, lam):
         assert ChamberSpec().layout(0.7 * lam).length == pytest.approx(99 * 0.7 * lam, rel=1e-12)

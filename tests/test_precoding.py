@@ -181,8 +181,8 @@ class TestSinr:
         w = zf_weights(h)
         noise = np.sum(np.abs(w) ** 2, axis=0)
         model = ExcitationErrorModel(0.5)
-        w_batch = np.stack([(1 + draw_errors(model, w.size, rng).reshape(w.shape)) * w
-                            for _ in range(5)])
+        eps = draw_errors(model, w.size, [(10, it) for it in range(5)])
+        w_batch = (1 + eps.reshape(5, *w.shape)) * w
         got = sinr(h, w_batch, 10.0, noise_norms=noise)
         assert got.shape == (5, 2)
         want = [sinr(h, wb, 10.0, noise_norms=noise) for wb in w_batch]
@@ -194,8 +194,8 @@ class TestSinr:
         h = random_channel(rng, n_rx=8)
         w = zf_weights(h)
         model = ExcitationErrorModel(1.0)
-        w_batch = np.stack([(1 + draw_errors(model, w.size, rng).reshape(w.shape)) * w
-                            for _ in range(4)])
+        eps = draw_errors(model, w.size, [(11, it) for it in range(4)])
+        w_batch = (1 + eps.reshape(4, *w.shape)) * w
         got = sinr(h, w_batch, 0.0)
         want = sinr_symbol_oracle(h, w_batch[2], 0.0, n_symbols=400_000)
         assert got[2] == pytest.approx(want, rel=0.02)
@@ -254,3 +254,30 @@ class TestRunStudy:
               if p.sigma_dut_db == 0.0
               and abs(p.alpha_deg - min(q.alpha_deg for q in pts)) < 1e-9}
         assert by[("ZF", 10.0)] > by[("MF", 10.0)]
+
+    def test_streams_keyed_by_seed_geometry_angle_sigma_iteration(self, wave, lam):
+        # one cell recomputed from its own streams, drawn here directly
+        geoms = [(0.7 * lam, 591 * lam), (1.0 * lam, 469 * lam)]
+        cfg = StudyConfig(snr_db=(10.0,), sigma_dut_db=(0.0, 0.5, 1.5),
+                          alpha_offsets_deg=(0.0, 15.0), n_mc=6, rng_seed=5)
+        pts = run_study(geoms, wave, cfg)
+        gi, ai, si = 1, 0, 2
+        layout = ChamberSpec().layout(geoms[gi][0])
+        alpha = alpha_min_deg(layout.length, geoms[gi][1]) + cfg.alpha_offsets_deg[ai]
+        h = build_channel(layout, geoms[gi][1], alpha, cfg.dut, wave)
+        s = ExcitationErrorModel(cfg.sigma_dut_db[si]).sigma_linear
+        n_dut = cfg.dut.n_elements
+        for prec, wfun in (("MF", mf_weights), ("ZF", zf_weights)):
+            w = wfun(h)
+            noise = np.sum(np.abs(w) ** 2, axis=0)
+            rates = []
+            for it in range(cfg.n_mc):
+                rng = np.random.default_rng([cfg.rng_seed, gi, ai, si, it])
+                z = rng.standard_normal((2, 2 * n_dut)) * s
+                eps = (z[0] + 1j * z[1]).reshape(n_dut, 2)
+                rates.append(sum_rate(sinr(h, (1 + eps) * w, 10.0, noise)))
+            got = [p.avg_sum_rate for p in pts
+                   if p.precoder == prec and p.sigma_dut_db == cfg.sigma_dut_db[si]
+                   and p.distance == geoms[gi][1] and p.alpha_deg == alpha]
+            assert len(got) == 1
+            assert got[0] == pytest.approx(np.mean(rates), abs=1e-12)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otazone import (TIER1, TIER2, TIER3, ChamberSpec, TestZoneSpec, build_mesh,
-                     evaluate_fom, field_over_mesh, r_mag, r_phs, sigma_mag)
+from otazone import (TIER1, TIER2, TIER3, ChamberSpec, TestZoneMesh, TestZoneSpec,
+                     build_mesh, evaluate_fom, field_at_points, field_over_mesh)
 from otazone.testzone import FomLimits, FomReport, circular_range_deg, fom_values
 
 from oracles import circular_range_bruteforce
@@ -16,6 +16,12 @@ def lattice_count(n):
     for a in range(-n, n + 1):
         c += 2 * int(np.floor(np.sqrt(n * n - a * a))) + 1
     return c
+
+
+def one_row_foms(values):
+    """fom_values of the samples laid out as one mesh row."""
+    n = len(values)
+    return fom_values(TestZoneMesh(np.zeros((n, 2)), (slice(0, n),)), np.asarray(values))
 
 
 class TestBuildMesh:
@@ -61,50 +67,55 @@ class TestBuildMesh:
             TestZoneSpec(10 * lam, -lam, lam / 8)
         with pytest.raises(ValueError):
             TestZoneSpec(lam, 2 * lam, lam / 8)  # zone crosses the array line
+        for bad in (np.nan, np.inf):
+            for args in ((bad, lam, lam / 8), (10 * lam, bad, lam / 8), (10 * lam, lam, bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    TestZoneSpec(*args)
 
 
 class TestMagnitudeFoms:
     def test_r_mag_constant(self):
-        assert r_mag(np.full(10, 0.3 + 0.4j)) == 0.0
+        assert one_row_foms(np.full(10, 0.3 + 0.4j))[0] == 0.0
 
     def test_r_mag_factor_two(self):
-        assert r_mag(np.array([1.0, 0.5])) == pytest.approx(6.0206, abs=1e-4)
+        assert one_row_foms(np.array([1.0, 0.5]))[0] == pytest.approx(6.0206, abs=1e-4)
 
     def test_r_mag_factor_ten(self):
-        assert r_mag(np.array([1.0, 1.0, 0.1])) == pytest.approx(20.0, rel=1e-12)
+        assert one_row_foms(np.array([1.0, 1.0, 0.1]))[0] == pytest.approx(20.0, rel=1e-12)
 
     def test_sigma_mag_constant(self):
-        assert sigma_mag(np.ones(5)) == 0.0
+        assert one_row_foms(np.ones(5))[1] == 0.0
 
     def test_sigma_mag_two_point(self):
         vals = 10 ** (np.array([0.0, 2.0]) / 20)
-        assert sigma_mag(vals) == pytest.approx(np.sqrt(2.0), rel=1e-9)
+        assert one_row_foms(vals)[1] == pytest.approx(np.sqrt(2.0), rel=1e-9)
 
     def test_sigma_mag_three_point(self):
         vals = 10 ** (np.array([-1.0, 0.0, 1.0]) / 20)
-        assert sigma_mag(vals) == pytest.approx(1.0, rel=1e-9)
+        assert one_row_foms(vals)[1] == pytest.approx(1.0, rel=1e-9)
 
     def test_rejects_zero_magnitude(self):
         with pytest.raises(ValueError):
-            r_mag(np.array([1.0, 0.0]))
+            one_row_foms(np.array([1.0, 0.0]))
 
     def test_sigma_needs_two(self):
         with pytest.raises(ValueError):
-            sigma_mag(np.array([1.0]))
+            one_row_foms(np.array([1.0]))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         c = 3.7 * np.exp(1j * 0.9)
-        assert r_mag(c * vals) == pytest.approx(r_mag(vals), rel=1e-9)
-        assert sigma_mag(c * vals) == pytest.approx(sigma_mag(vals), rel=1e-9)
+        # R_mag and sigma_mag
+        assert one_row_foms(c * vals)[:2] == pytest.approx(one_row_foms(vals)[:2], rel=1e-9)
 
     def test_sigma_bounded_by_half_range(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             vals = np.abs(rng.standard_normal(rng.integers(2, 40))) + 0.1
             n = len(vals)
-            assert sigma_mag(vals) <= r_mag(vals) / 2 * np.sqrt(n / (n - 1)) + 1e-12
+            rm, sm, _ = one_row_foms(vals)
+            assert sm <= rm / 2 * np.sqrt(n / (n - 1)) + 1e-12
 
 
 class TestPhaseRange:
@@ -142,14 +153,15 @@ class TestPhaseRange:
         vals = np.exp(1j * np.deg2rad(np.linspace(0, 30, mesh.n_points)))
         worst = max(circular_range_bruteforce(
             np.rad2deg(np.angle(vals[sl]))) for sl in mesh.row_slices)
-        assert r_phs(mesh, vals) == pytest.approx(worst, abs=1e-9)
+        assert fom_values(mesh, vals)[2] == pytest.approx(worst, abs=1e-9)
 
     def test_global_rotation_invariance_on_mesh(self, lam):
         mesh = build_mesh(TestZoneSpec(100 * lam, lam / 2, lam / 8))
         rng = np.random.default_rng(1)
         vals = rng.standard_normal(mesh.n_points) + 1j * rng.standard_normal(mesh.n_points)
         rotated = vals * np.exp(1j * 2.34)
-        assert r_phs(mesh, rotated) == pytest.approx(r_phs(mesh, vals), abs=1e-8)
+        assert fom_values(mesh, rotated)[2] == pytest.approx(fom_values(mesh, vals)[2],
+                                                             abs=1e-8)
 
 
 class TestFomValuesBatch:
@@ -218,11 +230,10 @@ class TestEvaluateFom:
 
 class TestFieldOverMesh:
     def test_matches_per_point_calls(self, wave, lam):
-        from otazone import field_at
         layout = ChamberSpec().layout(1.0 * lam)
         mesh = build_mesh(TestZoneSpec(200 * lam, lam / 2, lam / 8))
         vals = field_over_mesh(layout, wave, mesh)
-        singles = np.array([field_at(layout, wave, p) for p in mesh.points])
+        singles = np.array([field_at_points(layout, wave, p[None])[0] for p in mesh.points])
         assert vals == pytest.approx(singles, rel=1e-12)
 
     def test_fom_invariant_under_taper_scaling(self, wave, lam):
