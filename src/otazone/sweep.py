@@ -153,8 +153,7 @@ def run_sweep(grid: SweepGrid, wave: WaveSpec,
     b = np.rint((mesh.points[:, 1] - zone.distance) / pitch).astype(np.intp)
     b_min = b.min()
     b -= b_min
-    starts = [sl.start for sl in mesh.row_slices]
-    row_b, row_half = b[starts], a[starts]
+    row_b, row_half = b[mesh.row_starts], a[mesh.row_starts]
 
     strips = []  # per row group: its cells, each row's half-width and height
     for group in _row_groups(grid.d_values, pitch):

@@ -91,6 +91,11 @@ class TestZoneMesh:
     def n_points(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def row_starts(self) -> np.ndarray:
+        """Index of each row's first point, as an intp array."""
+        return np.array([sl.start for sl in self.row_slices], dtype=np.intp)
+
 
 def build_mesh(spec: TestZoneSpec) -> TestZoneMesh:
     """Grid points inside the disc, anchored so (0, D) is a grid node.
@@ -106,9 +111,8 @@ def build_mesh(spec: TestZoneSpec) -> TestZoneMesh:
     for b in range(-n_max, n_max + 1):
         half = np.floor(np.sqrt(max(r2 - b * b, 0.0)))
         a = np.arange(-half, half + 1)
-        xs = a * spec.pitch
-        ys = np.full(a.size, spec.distance + b * spec.pitch)
-        rows.append(np.column_stack([xs, ys]))
+        rows.append(np.column_stack([a * spec.pitch,
+                                     np.full(a.size, spec.distance + b * spec.pitch)]))
         slices.append(slice(start, start + a.size))
         start += a.size
     return TestZoneMesh(points=np.concatenate(rows), row_slices=tuple(slices))
@@ -122,46 +126,35 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
     return field_at_points(layout, wave, mesh.points)
 
 
-def _magnitudes_db(values: np.ndarray) -> np.ndarray:
-    """10*log10(|E|^2) per sample; both magnitude FoMs reduce this along axis 0."""
-    power = values.real ** 2 + values.imag ** 2
-    if np.any(power == 0.0):
-        raise ValueError("zero-magnitude sample; dB undefined")
-    return 10.0 * np.log10(power)
+def _row_ranges(phases: np.ndarray, starts) -> np.ndarray:
+    """max - min of each row along the last axis; the rows begin at ``starts``."""
+    return np.maximum.reduceat(phases, starts, -1) - np.minimum.reduceat(phases, starts, -1)
 
 
-def _circular_range(phases: np.ndarray) -> np.ndarray:
-    """circular_range_deg along axis 0 of phases in [0, 360), per column."""
-    if phases.shape[0] == 1:
-        return np.zeros(phases.shape[1:])
-    phases = np.sort(phases, axis=0)
-    gaps = np.diff(phases, axis=0).max(axis=0)
-    wrap = 360.0 - (phases[-1] - phases[0])
-    return np.minimum(360.0 - np.maximum(gaps, wrap), 180.0)
+def _worst_row_range(phases: np.ndarray, starts) -> np.ndarray:
+    """Largest circular range, capped at 180, over the rows of ``phases`` (in [-180, 180]).
 
-
-def _worst_row_range(mesh: TestZoneMesh, values: np.ndarray) -> np.ndarray:
-    phases = np.degrees(np.arctan2(values.imag, values.real)) % 360.0
-    worst = np.zeros(phases.shape[1:])
-    for sl in mesh.row_slices:
-        row = phases[sl]
-        if row.shape[0] == 0:
-            raise ValueError("empty mesh row")
-        worst = np.maximum(worst, _circular_range(row))
-    return worst
+    A row's range is the lesser of its linear ranges with the circle cut at
+    180 and at 0 degrees: an arc shorter than 180 degrees holds at most one
+    cut point, so one cut measures it. ``phases`` is overwritten.
+    """
+    r1 = _row_ranges(phases, starts)
+    np.add(phases, 360.0, out=phases, where=phases < 0.0)
+    return np.minimum(np.minimum(r1, _row_ranges(phases, starts)), 180.0).max(axis=-1)
 
 
 def circular_range_deg(phases_deg: np.ndarray) -> float:
-    """Wrap-correct phase spread: 360 minus the largest circular gap, capped at 180.
+    """Wrap-correct phase spread: the shortest arc holding every phase, capped at 180.
 
     A row with phases {359, 2} spans 3 degrees, not 357; spreads beyond
     180 degrees are clamped since that is the largest deviation that can
     physically occur.
     """
-    phases = np.mod(np.ravel(np.asarray(phases_deg, dtype=float)), 360.0)
+    phases = np.ravel(np.asarray(phases_deg, dtype=float))
     if phases.size == 0:
         raise ValueError("empty phase row")
-    return float(_circular_range(phases))
+    phases = phases - 360.0 * np.round(phases / 360.0)  # into [-180, 180] like arctan2
+    return float(_worst_row_range(phases, [0]))
 
 
 @dataclass(frozen=True)
@@ -207,17 +200,25 @@ def fom_values(mesh: TestZoneMesh, values: np.ndarray):
     """(R_mag, sigma_mag, R_phs) of field realizations over the mesh.
 
     ``values`` is one realization, shape (n_points,), giving three floats,
-    or a batch, shape (n_points, batch), giving three arrays of length
-    batch. Each column is scored independently of the others.
+    or a batch, shape (batch, n_points), giving three arrays of length
+    batch. Each realization is scored independently of the others.
     """
     values = np.asarray(values)
-    if values.shape[0] < 2:
+    n = values.shape[-1]
+    if n < 2:
         raise ValueError("need at least two samples")
-    db = _magnitudes_db(values)
-    foms = (np.ptp(db, axis=0), db.std(axis=0, ddof=1), _worst_row_range(mesh, values))
-    if values.ndim == 1:
-        return tuple(float(f) for f in foms)
-    return foms
+    edges = np.append(mesh.row_starts, n)
+    if (mesh.n_points != n or edges[0] != 0 or np.any(np.diff(edges) <= 0)
+            or not np.array_equal([sl.stop for sl in mesh.row_slices], edges[1:])):
+        raise ValueError("mesh rows must tile the samples in order, with no empty row")
+    db = np.square(values.real)
+    db += np.square(values.imag)
+    if np.any(db == 0.0):
+        raise ValueError("zero-magnitude sample; dB undefined")
+    db = 10.0 * np.log10(db, out=db)
+    phases = np.degrees(np.arctan2(values.imag, values.real))
+    foms = (np.ptp(db, axis=-1), db.std(axis=-1, ddof=1), _worst_row_range(phases, edges[:-1]))
+    return tuple(float(f) for f in foms) if values.ndim == 1 else foms
 
 
 def evaluate_fom(layout: ArrayLayout, wave: WaveSpec, spec: TestZoneSpec,

@@ -94,14 +94,14 @@ def level_fom_batch(contrib: np.ndarray, mesh: TestZoneMesh,
     matrix; ``eps`` is (n_elements, batch). Returns per-realization arrays
     (r_mag, sigma_mag, r_phs), each of length batch.
     """
-    return fom_values(mesh, contrib @ (1.0 + eps))
+    return fom_values(mesh, (1.0 + eps).T @ contrib.T)
 
 
 def _draw_batch(model: ExcitationErrorModel, n_elements: int, seed: int,
                 level: int, start: int, stop: int) -> np.ndarray:
     """Realizations start..stop of a level, keyed (seed, level, r), as (n_elements, batch)."""
     keys = [(seed, level, r) for r in range(start, stop)]
-    return np.ascontiguousarray(draw_errors(model, n_elements, keys).T)
+    return draw_errors(model, n_elements, keys).T
 
 
 def _failing_level_counts(contrib, mesh, model, cfg, level,

@@ -18,10 +18,16 @@ def lattice_count(n):
     return c
 
 
+def rows_mesh(lengths):
+    """A mesh whose rows hold the given numbers of points, in order."""
+    stops = np.cumsum(lengths)
+    slices = tuple(slice(int(b - n), int(b)) for b, n in zip(stops, lengths))
+    return TestZoneMesh(np.zeros((int(stops[-1]), 2)), slices)
+
+
 def one_row_foms(values):
     """fom_values of the samples laid out as one mesh row."""
-    n = len(values)
-    return fom_values(TestZoneMesh(np.zeros((n, 2)), (slice(0, n),)), np.asarray(values))
+    return fom_values(rows_mesh([len(values)]), np.asarray(values))
 
 
 class TestBuildMesh:
@@ -164,6 +170,12 @@ class TestPhaseRange:
                                                              abs=1e-8)
 
 
+def test_circular_range_leaves_its_input_unchanged():
+    phases = np.array([359.0, 2.0, 725.0, -190.0])
+    circular_range_deg(phases)
+    assert phases.tolist() == [359.0, 2.0, 725.0, -190.0]
+
+
 class TestFomValuesBatch:
     def test_columns_match_direct_statistics_and_bruteforce(self, wave, lam):
         # each column against 20*log10|E| statistics and the brute-force
@@ -173,7 +185,7 @@ class TestFomValuesBatch:
         rng = np.random.default_rng(5)
         batch = base[:, None] * (1.0 + 0.05 * (rng.standard_normal((mesh.n_points, 6)) +
                                               1j * rng.standard_normal((mesh.n_points, 6))))
-        rm, sm, rp = fom_values(mesh, batch)
+        rm, sm, rp = fom_values(mesh, batch.T)
         assert rm.shape == sm.shape == rp.shape == (6,)
         for j in range(batch.shape[1]):
             db = 20.0 * np.log10(np.abs(batch[:, j]))
@@ -189,7 +201,62 @@ class TestFomValuesBatch:
         foms = fom_values(mesh, vals)
         assert all(type(f) is float for f in foms)
         assert np.array(foms) == pytest.approx(
-            np.ravel(fom_values(mesh, vals[:, None])), rel=1e-12)
+            np.ravel(fom_values(mesh, vals[None, :])), rel=1e-12)
+
+
+class TestFomValuesGuards:
+    def test_rejects_zero_magnitude_in_batch(self):
+        vals = np.ones((3, 6), dtype=complex)
+        vals[1, 4] = 0.0
+        with pytest.raises(ValueError, match="zero-magnitude"):
+            fom_values(rows_mesh([2, 4]), vals)
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 1)])
+    def test_needs_two_samples(self, shape):
+        with pytest.raises(ValueError, match="two samples"):
+            fom_values(rows_mesh([1]), np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("slices", [
+        (),                                         # no rows
+        (slice(0, 2), slice(3, 6)),                 # gap
+        (slice(0, 3), slice(2, 6)),                 # overlap
+        (slice(0, 2), slice(2, 5)),                 # short of the last point
+        (slice(0, 3), slice(3, 3), slice(3, 6)),    # empty row
+        (slice(3, 6), slice(0, 3)),                 # out of order
+    ])
+    @pytest.mark.parametrize("shape", [(6,), (2, 6)])
+    def test_rejects_rows_that_do_not_tile(self, slices, shape):
+        mesh = TestZoneMesh(np.zeros((6, 2)), slices)
+        with pytest.raises(ValueError, match="tile"):
+            fom_values(mesh, np.ones(shape, dtype=complex))
+
+    def test_rejects_values_not_matching_the_mesh(self):
+        with pytest.raises(ValueError, match="tile"):
+            fom_values(rows_mesh([2, 3]), np.ones(6, dtype=complex))
+
+
+class TestFomValuesOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phase_range_matches_bruteforce_per_row(self, seed):
+        # rows of varied length (1-point rows included), each a phase cluster
+        # centred on 0, 180 or a random angle with a spread from 0 to past 180
+        rng = np.random.default_rng(seed)
+        lengths = [1, 2, 7, 1, 33, 3, 120, 1, 12, 60]
+        mesh = rows_mesh(lengths)
+        batch = 40
+        phases = np.empty((batch, mesh.n_points))
+        for b in range(batch):
+            for sl, n in zip(mesh.row_slices, lengths):
+                centre = rng.choice([0.0, 180.0, rng.uniform(-180.0, 180.0)])
+                spread = rng.choice([0.0, 1e-6, 3.0, 90.0, 179.0, 181.0, 300.0, 360.0])
+                phases[b, sl] = centre + spread * (rng.random(n) - 0.5)
+        vals = rng.uniform(0.1, 2.0, phases.shape) * np.exp(1j * np.deg2rad(phases))
+        foms = fom_values(mesh, vals)
+        for b in range(batch):
+            want = max(circular_range_bruteforce(np.degrees(np.angle(vals[b, sl])))
+                       for sl in mesh.row_slices)
+            assert foms[2][b] == pytest.approx(want, abs=1e-9)
+            assert fom_values(mesh, vals[b]) == tuple(f[b] for f in foms)
 
 
 class TestEvaluateFom:
