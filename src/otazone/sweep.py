@@ -106,18 +106,19 @@ def _half_strip_field(layout: ArrayLayout, wave: WaveSpec, row_y: np.ndarray,
     (plus the total at the end). A row of width -1 has no points. The
     field is synthesized at most ``max_points`` points per call.
     """
-    counts = widths + 1
-    row_start = np.concatenate(([0], np.cumsum(counts)))
+    row_start = np.concatenate(([0], np.cumsum(widths + 1)))
     field = np.empty(row_start[-1], dtype=complex)
     for lo in range(0, field.size, max_points):
         hi = min(lo + max_points, field.size)
-        # the rows holding points lo..hi-1, and each of those points' row
+        # the rows holding points lo..hi-1, cut to that range; empty ones dropped
         first, last = np.searchsorted(row_start, [lo, hi - 1], side="right") - 1
-        row = np.repeat(np.arange(first, last + 1), counts[first:last + 1])
-        row = row[lo - row_start[first]:hi - row_start[first]]
+        edges = np.clip(row_start[first:last + 2], lo, hi) - lo
+        row = np.repeat(np.arange(first, last + 1), np.diff(edges))
         x = (np.arange(lo, hi) - row_start[row]) * pitch
-        strip = TestZoneMesh(np.column_stack([x, row_y[row]]), ())
-        field[lo:hi] = field_over_mesh(layout, wave, strip)
+        edges = np.unique(edges)
+        chunk = TestZoneMesh(np.column_stack([x, row_y[row]]),
+                             tuple(map(slice, edges[:-1], edges[1:])), pitch)
+        field[lo:hi] = field_over_mesh(layout, wave, chunk)
     return field, row_start
 
 

@@ -10,7 +10,7 @@ circular phase range (degrees).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -81,11 +81,17 @@ class TestZoneMesh:
     """Flat point list plus row structure (constant-y stripes).
 
     ``row_slices[i]`` selects row i inside ``points``; within a row the
-    points are ordered by increasing x.
+    points are ordered by increasing x. ``pitch`` is the grid step: the
+    points of a zone mesh sit at x = a * pitch for integers a.
     """
 
     points: np.ndarray
     row_slices: Tuple[slice, ...]
+    pitch: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.pitch) and self.pitch > 0):
+            raise ValueError("mesh pitch must be positive and finite")
 
     @property
     def n_points(self) -> int:
@@ -95,6 +101,16 @@ class TestZoneMesh:
     def row_starts(self) -> np.ndarray:
         """Index of each row's first point, as an intp array."""
         return np.array([sl.start for sl in self.row_slices], dtype=np.intp)
+
+
+def _row_edges(mesh: TestZoneMesh, n: int) -> Optional[np.ndarray]:
+    """Each row's start plus ``n`` at the end, or None unless the rows tile
+    0..n-1 in order with no empty row."""
+    edges = np.append(mesh.row_starts, n)
+    if (mesh.n_points != n or edges[0] != 0 or np.any(np.diff(edges) <= 0)
+            or not np.array_equal([sl.stop for sl in mesh.row_slices], edges[1:])):
+        return None
+    return edges
 
 
 def build_mesh(spec: TestZoneSpec) -> TestZoneMesh:
@@ -115,15 +131,97 @@ def build_mesh(spec: TestZoneSpec) -> TestZoneMesh:
                                      np.full(a.size, spec.distance + b * spec.pitch)]))
         slices.append(slice(start, start + a.size))
         start += a.size
-    return TestZoneMesh(points=np.concatenate(rows), row_slices=tuple(slices))
+    return TestZoneMesh(points=np.concatenate(rows), row_slices=tuple(slices),
+                        pitch=spec.pitch)
+
+
+# IES / pitch is matched by the fraction P/Q of least Q up to this bound; a larger
+# one makes the kernel step so fine that the kernel outgrows the pairs.
+_MAX_DENOMINATOR = 1000
+# Relative slack of the lattice tests: float rounding of the inputs, no more.
+_LATTICE_RTOL = 1e-12
+# (point, element) pairs per block of rows
+_BLOCK_PAIRS = 1 << 16
 
 
 def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
                     mesh: TestZoneMesh) -> np.ndarray:
-    """E_z at every mesh point, in mesh order."""
+    """E_z at every mesh point, in mesh order.
+
+    When IES / pitch is a fraction P/Q and every point sits at x = a * pitch,
+    every element-to-point offset is a whole multiple of pitch / (2Q), so a
+    row's field is sum_i t_i * g(|x_p - x_i|, y) for one kernel g, the
+    field of a single untapered element, sampled once per needed offset.
+    Otherwise (off the lattice, a row off constant y or on the array line,
+    or a kernel no shorter than the pairs it replaces) every (point,
+    element) pair is synthesized directly.
+    """
     if mesh.n_points == 0:
         raise ValueError("empty mesh")
-    return field_at_points(layout, wave, mesh.points)
+    plan = _row_lattice(layout, mesh)
+    if plan is None:
+        return field_at_points(layout, wave, mesh.points)
+    a, e, step, edges, m_lo, k_len = plan
+    counts = np.diff(edges)
+    k_start = np.concatenate(([0], np.cumsum(k_len)))
+    row_y = mesh.points[edges[:-1], 1]
+    unit = ArrayLayout(1, layout.ies, np.ones(1))
+    out = np.empty(a.size, dtype=complex)
+    # rows in blocks of about _BLOCK_PAIRS (point, element) pairs, to bound memory
+    cuts = np.flatnonzero(np.diff(edges[:-1] * e.size // _BLOCK_PAIRS)) + 1
+    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, counts.size]):
+        # the block's kernel samples, row after row: row r's sample j is at m_lo[r] + j
+        rows = slice(r0, r1)
+        m = np.arange(k_start[r0], k_start[r1]) - np.repeat(k_start[rows] - m_lo[rows],
+                                                            k_len[rows])
+        kernel = field_at_points(unit, wave, np.column_stack(
+            [m * step, np.repeat(row_y[rows], k_len[rows])]))
+        pts = slice(edges[r0], edges[r1])
+        idx = np.abs(a[pts, None] - e[None, :])
+        idx += np.repeat(k_start[rows] - k_start[r0] - m_lo[rows], counts[rows])[:, None]
+        out[pts] = kernel[idx] @ layout.taper
+    return out
+
+
+def _row_lattice(layout: ArrayLayout, mesh: TestZoneMesh):
+    """Integer coordinates of the points and elements on one common x-lattice.
+
+    Returns (a, e, step, edges, m_lo, k_len): point p at x = a[p] * step,
+    element i at x = e[i] * step, the row edges, and row r's kernel offsets
+    m_lo[r] .. m_lo[r] + k_len[r] - 1 (in steps). None when no such lattice
+    exists, a row does not lie at one y off the array line, or the kernels
+    would be no shorter than the (point, element) pairs.
+    """
+    edges = _row_edges(mesh, mesh.n_points)
+    if edges is None:
+        return None
+    y = mesh.points[:, 1]
+    row_y = y[edges[:-1]]
+    if np.any(row_y == 0.0) or not np.array_equal(y, np.repeat(row_y, np.diff(edges))):
+        return None
+    ratio = layout.ies / mesh.pitch
+    q = next((q for q in range(1, _MAX_DENOMINATOR + 1)
+              if abs(ratio - round(ratio * q) / q) <= _LATTICE_RTOL * ratio), None)
+    if q is None:
+        return None
+    xa = mesh.points[:, 0] / mesh.pitch
+    a = np.rint(xa)
+    if np.any(np.abs(xa - a) > _LATTICE_RTOL * np.maximum(np.abs(xa), 1.0)):
+        return None
+    # in units of pitch / (2Q): points at 2Q * a, elements at (2i - N + 1) * P
+    p = round(ratio * q)
+    a = 2 * q * a.astype(np.int64)
+    e = (2 * np.arange(layout.n_elements, dtype=np.int64) - (layout.n_elements - 1)) * p
+    g = max(int(np.gcd.reduce(np.concatenate([a, e]))), 1)
+    a, e = a // g, e // g
+    # each row's signed offsets a - e span [lo, hi]; its kernel covers |lo..hi|
+    lo = np.minimum.reduceat(a, edges[:-1]) - e.max()
+    hi = np.maximum.reduceat(a, edges[:-1]) - e.min()
+    m_lo = np.where((lo <= 0) & (hi >= 0), 0, np.minimum(np.abs(lo), np.abs(hi)))
+    k_len = np.maximum(np.abs(lo), np.abs(hi)) - m_lo + 1
+    if k_len.sum() >= a.size * e.size:
+        return None
+    return a, e, g * mesh.pitch / (2 * q), edges, m_lo, k_len
 
 
 def _row_ranges(phases: np.ndarray, starts) -> np.ndarray:
@@ -207,9 +305,8 @@ def fom_values(mesh: TestZoneMesh, values: np.ndarray):
     n = values.shape[-1]
     if n < 2:
         raise ValueError("need at least two samples")
-    edges = np.append(mesh.row_starts, n)
-    if (mesh.n_points != n or edges[0] != 0 or np.any(np.diff(edges) <= 0)
-            or not np.array_equal([sl.stop for sl in mesh.row_slices], edges[1:])):
+    edges = _row_edges(mesh, n)
+    if edges is None:
         raise ValueError("mesh rows must tile the samples in order, with no empty row")
     db = np.square(values.real)
     db += np.square(values.imag)

@@ -7,7 +7,7 @@ from otazone import (TIER1, TIER2, TIER3, ChamberSpec, TestZoneMesh, TestZoneSpe
                      build_mesh, evaluate_fom, field_at_points, field_over_mesh)
 from otazone.testzone import FomLimits, FomReport, circular_range_deg, fom_values
 
-from oracles import circular_range_bruteforce
+from oracles import circular_range_bruteforce, field_oracle
 
 
 def lattice_count(n):
@@ -22,7 +22,7 @@ def rows_mesh(lengths):
     """A mesh whose rows hold the given numbers of points, in order."""
     stops = np.cumsum(lengths)
     slices = tuple(slice(int(b - n), int(b)) for b, n in zip(stops, lengths))
-    return TestZoneMesh(np.zeros((int(stops[-1]), 2)), slices)
+    return TestZoneMesh(np.zeros((int(stops[-1]), 2)), slices, 1.0)
 
 
 def one_row_foms(values):
@@ -226,7 +226,7 @@ class TestFomValuesGuards:
     ])
     @pytest.mark.parametrize("shape", [(6,), (2, 6)])
     def test_rejects_rows_that_do_not_tile(self, slices, shape):
-        mesh = TestZoneMesh(np.zeros((6, 2)), slices)
+        mesh = TestZoneMesh(np.zeros((6, 2)), slices, 1.0)
         with pytest.raises(ValueError, match="tile"):
             fom_values(mesh, np.ones(shape, dtype=complex))
 
@@ -311,3 +311,96 @@ class TestFieldOverMesh:
         f1 = fom_values(mesh, field_over_mesh(base, wave, mesh))
         f2 = fom_values(mesh, field_over_mesh(scaled, wave, mesh))
         assert f1 == pytest.approx(f2, rel=1e-9, abs=1e-12)
+
+
+DEFAULT_IES = np.round(np.arange(0.5, 1.51, 0.05), 2)  # the default sweep grid, in lambda
+
+
+def half_rows(mesh):
+    """The x >= 0 half of every row of a zone mesh, as the sweep synthesizes it."""
+    keep = mesh.points[:, 0] >= 0
+    stops = np.cumsum([int(keep[sl].sum()) for sl in mesh.row_slices])
+    starts = np.concatenate(([0], stops[:-1]))
+    return TestZoneMesh(mesh.points[keep], tuple(map(slice, starts, stops)), mesh.pitch)
+
+
+def one_row(mesh):
+    """The widest row of a zone mesh alone."""
+    sl = max(mesh.row_slices, key=lambda s: s.stop - s.start)
+    return TestZoneMesh(mesh.points[sl], (slice(0, sl.stop - sl.start),), mesh.pitch)
+
+
+@pytest.fixture
+def pairs_synthesized(monkeypatch):
+    """Sizes of the (points, elements) matrices element_fields synthesizes."""
+    import otazone.field
+    sizes = []
+    real = otazone.field.element_fields
+
+    def counting(layout, wave, points):
+        out = real(layout, wave, points)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(otazone.field, "element_fields", counting)
+    return sizes
+
+
+class TestFieldOverMeshLattice:
+    """The row-lattice kernel against direct synthesis of every pair."""
+
+    @pytest.mark.parametrize("n_elements, taper_edge", [(100, 25), (100, 0), (41, 0), (41, 10)])
+    @pytest.mark.parametrize("pitch_lambda", [0.125, 0.25])
+    @pytest.mark.parametrize("ies_lambda", [0.55, 1.0, 1.35])
+    def test_matches_direct_synthesis(self, wave, lam, pairs_synthesized,
+                                      n_elements, taper_edge, pitch_lambda, ies_lambda):
+        # 48 pitches: half-rows long enough for the kernel to beat the pairs
+        chamber = ChamberSpec(n_elements=n_elements, taper_edge=taper_edge,
+                              tz_radius_lambda=48 * pitch_lambda, mesh_pitch_lambda=pitch_lambda)
+        layout = chamber.layout(ies_lambda * lam)
+        zone = build_mesh(chamber.zone(wave, 300 * lam))
+        for mesh in (zone, half_rows(zone), one_row(zone)):
+            want = field_at_points(layout, wave, mesh.points)
+            pairs_synthesized.clear()
+            got = field_over_mesh(layout, wave, mesh)
+            assert sum(pairs_synthesized) < mesh.n_points * n_elements  # the lattice path ran
+            assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+    def test_matches_high_precision_oracle(self, wave, lam):
+        layout = ChamberSpec().layout(0.7 * lam)
+        mesh = build_mesh(TestZoneSpec(564 * lam, 99 * lam / 8, lam / 8))
+        got = field_over_mesh(layout, wave, mesh)
+        # points (a, b) * lambda/8 from the zone centre: the centre, rim and inner points
+        for a, b in ((0, 0), (99, 0), (-70, 70), (13, -98), (-1, 1)):
+            p = np.flatnonzero(np.all(np.isclose(mesh.points, [a * lam / 8, (564 + b / 8) * lam],
+                                                 rtol=0, atol=1e-9 * lam), axis=1))
+            assert p.size == 1
+            want = field_oracle(wave.frequency, 0.7, layout.taper, (a / 8, 564 + b / 8))
+            assert got[p[0]] == pytest.approx(want, rel=1e-10)
+
+    def test_default_grid_never_falls_back(self, wave, lam, pairs_synthesized):
+        # every default IES sits on a short lattice with the lambda/8 mesh
+        mesh = build_mesh(ChamberSpec().zone(wave, 591 * lam))
+        for ies in DEFAULT_IES:
+            pairs_synthesized.clear()
+            field_over_mesh(ChamberSpec().layout(ies * lam), wave, mesh)
+            assert sum(pairs_synthesized) <= mesh.n_points * 100 // 4, ies
+
+    @pytest.mark.parametrize("pitch", [0.0, -1.0, np.inf, np.nan])
+    def test_mesh_rejects_bad_pitch(self, pitch):
+        with pytest.raises(ValueError, match="pitch"):
+            TestZoneMesh(np.zeros((2, 2)), (slice(0, 2),), pitch)
+
+    @pytest.mark.parametrize("case", ["ies_off_lattice", "points_off_pitch", "kernel_too_long"])
+    def test_fallback_is_direct_synthesis(self, wave, lam, pairs_synthesized, case):
+        ies = lam / np.sqrt(2) if case == "ies_off_lattice" else 0.7 * lam
+        layout = ChamberSpec().layout(ies)
+        mesh = build_mesh(TestZoneSpec(300 * lam, 2 * lam, lam / 8))
+        if case == "points_off_pitch":
+            mesh = TestZoneMesh(mesh.points + [0.3 * mesh.pitch, 0.0], mesh.row_slices,
+                                mesh.pitch)
+        elif case == "kernel_too_long":
+            mesh = TestZoneMesh(mesh.points[:1], (slice(0, 1),), mesh.pitch)
+        got = field_over_mesh(layout, wave, mesh)
+        assert pairs_synthesized == [mesh.n_points * 100]
+        assert np.array_equal(got, field_at_points(layout, wave, mesh.points))
