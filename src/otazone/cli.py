@@ -8,6 +8,8 @@ a header comment carrying the config hash, seed, and package version.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -118,13 +120,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    # the CSV is rendered in full before the output is opened, so a failed run
+    # leaves an existing output file as it was
+    buf = io.StringIO()
     try:
-        if args.output:
-            with open(args.output, "w", newline="") as fh:
-                args.func(cfg, args, fh)
-        else:
-            args.func(cfg, args, sys.stdout)
-    except (ConfigError, ValueError) as exc:
+        args.func(cfg, args, buf)
+        with (open(args.output, "w", newline="") if args.output
+              else contextlib.nullcontext(sys.stdout)) as out:
+            out.write(buf.getvalue())
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:

@@ -8,7 +8,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .field import ArrayLayout, WaveSpec
+from .field import WaveSpec
 from .testzone import (TIERS, ChamberSpec, FomReport, TestZoneMesh, build_mesh,
                        field_over_mesh, fom_values)
 
@@ -98,30 +98,6 @@ def _row_groups(d_values: Tuple[float, ...], pitch: float) -> List[List[Tuple[in
     return groups
 
 
-def _half_strip_field(layout: ArrayLayout, wave: WaveSpec, row_y: np.ndarray,
-                      widths: np.ndarray, pitch: float, max_points: int):
-    """Field on rows at heights ``row_y``, row r at x = 0, pitch, ..., widths[r] * pitch.
-
-    Returns the field, row after row, and each row's start index in it
-    (plus the total at the end). A row of width -1 has no points. The
-    field is synthesized at most ``max_points`` points per call.
-    """
-    row_start = np.concatenate(([0], np.cumsum(widths + 1)))
-    field = np.empty(row_start[-1], dtype=complex)
-    for lo in range(0, field.size, max_points):
-        hi = min(lo + max_points, field.size)
-        # the rows holding points lo..hi-1, cut to that range; empty ones dropped
-        first, last = np.searchsorted(row_start, [lo, hi - 1], side="right") - 1
-        edges = np.clip(row_start[first:last + 2], lo, hi) - lo
-        row = np.repeat(np.arange(first, last + 1), np.diff(edges))
-        x = (np.arange(lo, hi) - row_start[row]) * pitch
-        edges = np.unique(edges)
-        chunk = TestZoneMesh(np.column_stack([x, row_y[row]]),
-                             tuple(map(slice, edges[:-1], edges[1:])), pitch)
-        field[lo:hi] = field_over_mesh(layout, wave, chunk)
-    return field, row_start
-
-
 def run_sweep(grid: SweepGrid, wave: WaveSpec,
               chamber: ChamberSpec = ChamberSpec()) -> ComplianceMap:
     """Evaluate the FoM once per (ies, D) cell and score every tier of TIERS.
@@ -148,35 +124,39 @@ def run_sweep(grid: SweepGrid, wave: WaveSpec,
     zone = chamber.zone(wave, grid.d_values[0])
     pitch = zone.pitch
     mesh = build_mesh(zone)
-    # integer lattice coordinates of every mesh point: |x| / pitch, and the
-    # row counted from the zone's lowest one
-    a = np.rint(np.abs(mesh.points[:, 0]) / pitch).astype(np.intp)
-    b = np.rint((mesh.points[:, 1] - zone.distance) / pitch).astype(np.intp)
-    b_min = b.min()
-    b -= b_min
-    row_b, row_half = b[mesh.row_starts], a[mesh.row_starts]
+    # each zone point's row and |x| / pitch; the zone's n_rows rows lie at
+    # D + b * pitch for b = -(n_rows // 2) .. n_rows // 2
+    row, a = mesh.lattice()
+    a = np.abs(a)
+    n_rows = mesh.row_y.size
 
-    strips = []  # per row group: its cells, each row's half-width and height
+    strips = []  # per row group: its cells, its mesh and each strip row's first point
     for group in _row_groups(grid.d_values, pitch):
-        widths = np.full(group[-1][1] + row_b.max() + 1, -1)
+        # strip row r holds row r - k of the group's zone at d0 + k * pitch
+        widths = np.full(group[-1][1] + n_rows, -1)
         for _, k in group:
-            widths[k + row_b] = np.maximum(widths[k + row_b], row_half)
+            widths[k:k + n_rows] = np.maximum(widths[k:k + n_rows], mesh.row_hi)
         d0 = grid.d_values[group[0][0]]
-        strips.append((group, widths, d0 + (np.arange(widths.size) + b_min) * pitch))
+        row_y = d0 + (np.arange(widths.size) - n_rows // 2) * pitch
+        keep = widths >= 0  # a row no zone of the group reaches has no points
+        strip = TestZoneMesh(pitch, row_y[keep], 0, widths[keep])
+        strips.append((group, strip, strip.edges[np.cumsum(keep) - 1]))
 
     cells: List[SweepCell] = []
     for ies in grid.ies_values:
         layout = chamber.layout(ies)
         by_d: List[SweepCell] = [None] * len(grid.d_values)
-        for group, widths, row_y in strips:
+        for group, strip, row_start in strips:
             with _cell_errors(ies, grid.d_values[group[0][0]]):
-                field, row_start = _half_strip_field(layout, wave, row_y, widths, pitch,
-                                                     max(1, mesh.n_points // 2))
+                field = field_over_mesh(layout, wave, strip)
             for j, k in group:
                 with _cell_errors(ies, grid.d_values[j]):
-                    rm, sm, rp = fom_values(mesh, field[row_start[k + b] + a])
+                    rm, sm, rp = fom_values(mesh, field[row_start[k + row] + a])
                 reports = tuple(FomReport.from_values(rm, sm, rp, tier) for tier in TIERS)
                 by_d[j] = SweepCell(ies, grid.d_values[j], layout.length, rm, sm, rp, reports)
+            # drop this strip's field before the next one is synthesized, so that
+            # two strip fields never coexist
+            del field
         cells.extend(by_d)
     return ComplianceMap(grid=grid, cells=tuple(cells))
 

@@ -10,6 +10,7 @@ circular phase range (degrees).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -78,61 +79,68 @@ class ChamberSpec:
 
 @dataclass(frozen=True)
 class TestZoneMesh:
-    """Flat point list plus row structure (constant-y stripes).
+    """Sample points in rows of constant y on a square lattice of step ``pitch``.
 
-    ``row_slices[i]`` selects row i inside ``points``; within a row the
-    points are ordered by increasing x. ``pitch`` is the grid step: the
-    points of a zone mesh sit at x = a * pitch for integers a.
+    Row r lies at y = ``row_y[r]`` and holds the points x = a * pitch for
+    the integers a = ``row_lo[r]`` .. ``row_hi[r]``, in that order; the
+    points list the rows one after another. A scalar ``row_lo`` or
+    ``row_hi`` applies to every row.
     """
 
-    points: np.ndarray
-    row_slices: Tuple[slice, ...]
     pitch: float
+    row_y: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
 
     def __post_init__(self):
         if not (np.isfinite(self.pitch) and self.pitch > 0):
             raise ValueError("mesh pitch must be positive and finite")
+        row_y = np.asarray(self.row_y, dtype=float)
+        lo, hi = (np.asarray(v, dtype=np.int64) for v in (self.row_lo, self.row_hi))
+        if row_y.ndim != 1 or row_y.size == 0:
+            raise ValueError("mesh needs a 1-D array of at least one row")
+        if any(v.ndim != 0 and v.shape != row_y.shape for v in (lo, hi)):
+            raise ValueError("row_y, row_lo and row_hi must have one entry per row")
+        if np.any(hi < lo):
+            raise ValueError("every mesh row needs at least one point (row_hi >= row_lo)")
+        for name, v in (("row_y", row_y), ("row_lo", lo), ("row_hi", hi)):
+            object.__setattr__(self, name, np.broadcast_to(v, row_y.shape))
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Index of each row's first point, plus n_points at the end."""
+        return np.concatenate(([0], np.cumsum(self.row_hi - self.row_lo + 1)))
 
     @property
     def n_points(self) -> int:
-        return self.points.shape[0]
+        return int(self.edges[-1])
 
-    @property
-    def row_starts(self) -> np.ndarray:
-        """Index of each row's first point, as an intp array."""
-        return np.array([sl.start for sl in self.row_slices], dtype=np.intp)
+    def lattice(self, r0: int = 0, r1: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """(row, a) of every point in rows r0 .. r1 - 1: the point is at x = a * pitch."""
+        rows = slice(r0, r1)
+        row = np.repeat(np.arange(self.row_y.size)[rows], np.diff(self.edges)[rows])
+        first = self.edges[row[0]]
+        return row, np.arange(first, first + row.size) - self.edges[row] + self.row_lo[row]
 
-
-def _row_edges(mesh: TestZoneMesh, n: int) -> Optional[np.ndarray]:
-    """Each row's start plus ``n`` at the end, or None unless the rows tile
-    0..n-1 in order with no empty row."""
-    edges = np.append(mesh.row_starts, n)
-    if (mesh.n_points != n or edges[0] != 0 or np.any(np.diff(edges) <= 0)
-            or not np.array_equal([sl.stop for sl in mesh.row_slices], edges[1:])):
-        return None
-    return edges
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(n_points, 2) coordinates, row after row."""
+        row, a = self.lattice()
+        return np.column_stack([a * self.pitch, self.row_y[row]])
 
 
 def build_mesh(spec: TestZoneSpec) -> TestZoneMesh:
     """Grid points inside the disc, anchored so (0, D) is a grid node.
 
-    Boundary points (distance exactly R) are included; the comparison
-    carries a tiny relative slack so exact-radius lattices are stable.
+    Row b lies at y = D + b * pitch. Boundary points (distance exactly R)
+    are included; the comparison carries a tiny relative slack so
+    exact-radius lattices are stable.
     """
     n_max = int(np.floor(spec.radius / spec.pitch * (1.0 + 1e-12)))
     r2 = (spec.radius / spec.pitch) ** 2 * (1.0 + 1e-12)
-    rows = []
-    slices = []
-    start = 0
-    for b in range(-n_max, n_max + 1):
-        half = np.floor(np.sqrt(max(r2 - b * b, 0.0)))
-        a = np.arange(-half, half + 1)
-        rows.append(np.column_stack([a * spec.pitch,
-                                     np.full(a.size, spec.distance + b * spec.pitch)]))
-        slices.append(slice(start, start + a.size))
-        start += a.size
-    return TestZoneMesh(points=np.concatenate(rows), row_slices=tuple(slices),
-                        pitch=spec.pitch)
+    b = np.arange(-n_max, n_max + 1)
+    half = np.floor(np.sqrt(np.maximum(r2 - b * b, 0.0))).astype(np.int64)
+    return TestZoneMesh(spec.pitch, spec.distance + b * spec.pitch, -half, half)
 
 
 # IES / pitch is matched by the fraction P/Q of least Q up to this bound; a larger
@@ -148,80 +156,73 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
                     mesh: TestZoneMesh) -> np.ndarray:
     """E_z at every mesh point, in mesh order.
 
-    When IES / pitch is a fraction P/Q and every point sits at x = a * pitch,
-    every element-to-point offset is a whole multiple of pitch / (2Q), so a
-    row's field is sum_i t_i * g(|x_p - x_i|, y) for one kernel g, the
-    field of a single untapered element, sampled once per needed offset.
-    Otherwise (off the lattice, a row off constant y or on the array line,
-    or a kernel no shorter than the pairs it replaces) every (point,
-    element) pair is synthesized directly.
+    When IES / pitch is a fraction P/Q, every element-to-point offset is a
+    whole multiple of pitch / (2Q), so a row's field is
+    sum_i t_i * g(|x_p - x_i|, y) for one kernel g, the field of a single
+    untapered element, sampled once per needed offset. Otherwise (IES off
+    the lattice, a row on the array line, or a kernel no shorter than the
+    pairs it replaces) every (point, element) pair is synthesized directly.
+    Either way the rows go in blocks of about _BLOCK_PAIRS (point, element)
+    pairs, to bound memory.
     """
-    if mesh.n_points == 0:
-        raise ValueError("empty mesh")
     plan = _row_lattice(layout, mesh)
-    if plan is None:
-        return field_at_points(layout, wave, mesh.points)
-    a, e, step, edges, m_lo, k_len = plan
+    edges = mesh.edges
     counts = np.diff(edges)
-    k_start = np.concatenate(([0], np.cumsum(k_len)))
-    row_y = mesh.points[edges[:-1], 1]
-    unit = ArrayLayout(1, layout.ies, np.ones(1))
-    out = np.empty(a.size, dtype=complex)
-    # rows in blocks of about _BLOCK_PAIRS (point, element) pairs, to bound memory
-    cuts = np.flatnonzero(np.diff(edges[:-1] * e.size // _BLOCK_PAIRS)) + 1
+    out = np.empty(mesh.n_points, dtype=complex)
+    if plan is not None:
+        num, den, e, step, m_lo, k_len = plan
+        k_start = np.concatenate(([0], np.cumsum(k_len)))
+        unit = ArrayLayout(1, layout.ies, np.ones(1))
+    cuts = np.flatnonzero(np.diff(edges[:-1] * layout.n_elements // _BLOCK_PAIRS)) + 1
     for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, counts.size]):
+        pts = slice(edges[r0], edges[r1])
+        if plan is None:
+            out[pts] = field_at_points(layout, wave, mesh.points[pts])
+            continue
         # the block's kernel samples, row after row: row r's sample j is at m_lo[r] + j
         rows = slice(r0, r1)
         m = np.arange(k_start[r0], k_start[r1]) - np.repeat(k_start[rows] - m_lo[rows],
                                                             k_len[rows])
         kernel = field_at_points(unit, wave, np.column_stack(
-            [m * step, np.repeat(row_y[rows], k_len[rows])]))
-        pts = slice(edges[r0], edges[r1])
-        idx = np.abs(a[pts, None] - e[None, :])
+            [m * step, np.repeat(mesh.row_y[rows], k_len[rows])]))
+        idx = np.abs(mesh.lattice(r0, r1)[1][:, None] * num // den - e[None, :])
         idx += np.repeat(k_start[rows] - k_start[r0] - m_lo[rows], counts[rows])[:, None]
         out[pts] = kernel[idx] @ layout.taper
     return out
 
 
 def _row_lattice(layout: ArrayLayout, mesh: TestZoneMesh):
-    """Integer coordinates of the points and elements on one common x-lattice.
+    """The points and elements on one common x-lattice of step ``step``.
 
-    Returns (a, e, step, edges, m_lo, k_len): point p at x = a[p] * step,
-    element i at x = e[i] * step, the row edges, and row r's kernel offsets
-    m_lo[r] .. m_lo[r] + k_len[r] - 1 (in steps). None when no such lattice
-    exists, a row does not lie at one y off the array line, or the kernels
-    would be no shorter than the (point, element) pairs.
+    Returns (num, den, e, step, m_lo, k_len): the point at x = a * pitch
+    sits at a * num // den steps, element i at e[i] steps, and row r's
+    kernel covers the offsets m_lo[r] .. m_lo[r] + k_len[r] - 1 (in
+    steps). None when no such lattice exists, a row lies on the array
+    line, or the kernels would be no shorter than the (point, element)
+    pairs.
     """
-    edges = _row_edges(mesh, mesh.n_points)
-    if edges is None:
-        return None
-    y = mesh.points[:, 1]
-    row_y = y[edges[:-1]]
-    if np.any(row_y == 0.0) or not np.array_equal(y, np.repeat(row_y, np.diff(edges))):
+    if np.any(mesh.row_y == 0.0):
         return None
     ratio = layout.ies / mesh.pitch
     q = next((q for q in range(1, _MAX_DENOMINATOR + 1)
               if abs(ratio - round(ratio * q) / q) <= _LATTICE_RTOL * ratio), None)
     if q is None:
         return None
-    xa = mesh.points[:, 0] / mesh.pitch
-    a = np.rint(xa)
-    if np.any(np.abs(xa - a) > _LATTICE_RTOL * np.maximum(np.abs(xa), 1.0)):
-        return None
-    # in units of pitch / (2Q): points at 2Q * a, elements at (2i - N + 1) * P
+    # in units of pitch / (2Q): points at 2Q * a, elements at (2i - N + 1) * P; the
+    # gcd of a row's points is that of its first one and, if it has one, its second
     p = round(ratio * q)
-    a = 2 * q * a.astype(np.int64)
+    a_lo, a_hi = 2 * q * mesh.row_lo, 2 * q * mesh.row_hi
     e = (2 * np.arange(layout.n_elements, dtype=np.int64) - (layout.n_elements - 1)) * p
-    g = max(int(np.gcd.reduce(np.concatenate([a, e]))), 1)
-    a, e = a // g, e // g
+    g = max(int(np.gcd.reduce(np.concatenate([a_lo, np.minimum(a_lo + 2 * q, a_hi), e]))), 1)
+    e = e // g
     # each row's signed offsets a - e span [lo, hi]; its kernel covers |lo..hi|
-    lo = np.minimum.reduceat(a, edges[:-1]) - e.max()
-    hi = np.maximum.reduceat(a, edges[:-1]) - e.min()
+    lo = a_lo // g - e.max()
+    hi = a_hi // g - e.min()
     m_lo = np.where((lo <= 0) & (hi >= 0), 0, np.minimum(np.abs(lo), np.abs(hi)))
     k_len = np.maximum(np.abs(lo), np.abs(hi)) - m_lo + 1
-    if k_len.sum() >= a.size * e.size:
+    if k_len.sum() >= mesh.n_points * e.size:
         return None
-    return a, e, g * mesh.pitch / (2 * q), edges, m_lo, k_len
+    return 2 * q, g, e, g * mesh.pitch / (2 * q), m_lo, k_len
 
 
 def _row_ranges(phases: np.ndarray, starts) -> np.ndarray:
@@ -305,16 +306,16 @@ def fom_values(mesh: TestZoneMesh, values: np.ndarray):
     n = values.shape[-1]
     if n < 2:
         raise ValueError("need at least two samples")
-    edges = _row_edges(mesh, n)
-    if edges is None:
-        raise ValueError("mesh rows must tile the samples in order, with no empty row")
+    if n != mesh.n_points:
+        raise ValueError(f"{n} samples for a mesh of {mesh.n_points} points")
     db = np.square(values.real)
     db += np.square(values.imag)
     if np.any(db == 0.0):
         raise ValueError("zero-magnitude sample; dB undefined")
     db = 10.0 * np.log10(db, out=db)
     phases = np.degrees(np.arctan2(values.imag, values.real))
-    foms = (np.ptp(db, axis=-1), db.std(axis=-1, ddof=1), _worst_row_range(phases, edges[:-1]))
+    foms = (np.ptp(db, axis=-1), db.std(axis=-1, ddof=1),
+            _worst_row_range(phases, mesh.edges[:-1]))
     return tuple(float(f) for f in foms) if values.ndim == 1 else foms
 
 

@@ -164,6 +164,20 @@ class TestCliFom:
         code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", ies, "--d-lambda", d])
         assert code == 1
 
+    def test_unwritable_output_exits_with_message(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "x.csv"
+        code = main(["-o", str(out), "fom", "--ies-lambda", "0.7", "--d-lambda", "591"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_failed_run_leaves_existing_output_unchanged(self, tmp_path):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"# an earlier run\n1,2,3\n")
+        code = main(["-o", str(out), "fom", "--ies-lambda", "0.7", "--d-lambda", "5"])
+        assert code == 1
+        assert out.read_bytes() == b"# an earlier run\n1,2,3\n"
+
 
 class TestCliSweep:
     CFG = {"ies_lambda": [0.7], "d_lambda": [564.0, 620.0]}

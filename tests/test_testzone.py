@@ -20,9 +20,12 @@ def lattice_count(n):
 
 def rows_mesh(lengths):
     """A mesh whose rows hold the given numbers of points, in order."""
-    stops = np.cumsum(lengths)
-    slices = tuple(slice(int(b - n), int(b)) for b, n in zip(stops, lengths))
-    return TestZoneMesh(np.zeros((int(stops[-1]), 2)), slices, 1.0)
+    return TestZoneMesh(1.0, np.arange(1.0, len(lengths) + 1), 0, np.asarray(lengths) - 1)
+
+
+def row_slices(mesh):
+    """The slice of the mesh's points that each row holds."""
+    return [slice(lo, hi) for lo, hi in zip(mesh.edges[:-1], mesh.edges[1:])]
 
 
 def one_row_foms(values):
@@ -48,7 +51,7 @@ class TestBuildMesh:
 
     def test_rows_are_constant_y_uniform_x(self, lam):
         mesh = build_mesh(TestZoneSpec(100 * lam, 2 * lam, lam / 8))
-        for sl in mesh.row_slices:
+        for sl in row_slices(mesh):
             row = mesh.points[sl]
             assert np.ptp(row[:, 1]) == 0.0
             if row.shape[0] > 1:
@@ -58,7 +61,7 @@ class TestBuildMesh:
     def test_row_width_bound(self, lam):
         spec = TestZoneSpec(100 * lam, 3.3 * lam, lam / 8)
         mesh = build_mesh(spec)
-        for sl in mesh.row_slices:
+        for sl in row_slices(mesh):
             row = mesh.points[sl]
             assert row[-1, 0] - row[0, 0] <= 2 * spec.radius + spec.pitch
 
@@ -158,7 +161,7 @@ class TestPhaseRange:
         mesh = build_mesh(TestZoneSpec(100 * lam, lam / 4, lam / 8))
         vals = np.exp(1j * np.deg2rad(np.linspace(0, 30, mesh.n_points)))
         worst = max(circular_range_bruteforce(
-            np.rad2deg(np.angle(vals[sl]))) for sl in mesh.row_slices)
+            np.rad2deg(np.angle(vals[sl]))) for sl in row_slices(mesh))
         assert fom_values(mesh, vals)[2] == pytest.approx(worst, abs=1e-9)
 
     def test_global_rotation_invariance_on_mesh(self, lam):
@@ -190,7 +193,7 @@ class TestFomValuesBatch:
         for j in range(batch.shape[1]):
             db = 20.0 * np.log10(np.abs(batch[:, j]))
             phs = max(circular_range_bruteforce(np.degrees(np.angle(batch[sl, j])))
-                      for sl in mesh.row_slices)
+                      for sl in row_slices(mesh))
             assert rm[j] == pytest.approx(db.max() - db.min(), rel=1e-10)
             assert sm[j] == pytest.approx(np.std(db, ddof=1), rel=1e-10)
             assert rp[j] == pytest.approx(phs, abs=1e-9)
@@ -216,23 +219,10 @@ class TestFomValuesGuards:
         with pytest.raises(ValueError, match="two samples"):
             fom_values(rows_mesh([1]), np.ones(shape, dtype=complex))
 
-    @pytest.mark.parametrize("slices", [
-        (),                                         # no rows
-        (slice(0, 2), slice(3, 6)),                 # gap
-        (slice(0, 3), slice(2, 6)),                 # overlap
-        (slice(0, 2), slice(2, 5)),                 # short of the last point
-        (slice(0, 3), slice(3, 3), slice(3, 6)),    # empty row
-        (slice(3, 6), slice(0, 3)),                 # out of order
-    ])
-    @pytest.mark.parametrize("shape", [(6,), (2, 6)])
-    def test_rejects_rows_that_do_not_tile(self, slices, shape):
-        mesh = TestZoneMesh(np.zeros((6, 2)), slices, 1.0)
-        with pytest.raises(ValueError, match="tile"):
-            fom_values(mesh, np.ones(shape, dtype=complex))
-
     def test_rejects_values_not_matching_the_mesh(self):
-        with pytest.raises(ValueError, match="tile"):
-            fom_values(rows_mesh([2, 3]), np.ones(6, dtype=complex))
+        for shape in ((6,), (2, 6), (4,), (2, 4)):
+            with pytest.raises(ValueError, match="for a mesh of 5 points"):
+                fom_values(rows_mesh([2, 3]), np.ones(shape, dtype=complex))
 
 
 class TestFomValuesOracle:
@@ -246,7 +236,7 @@ class TestFomValuesOracle:
         batch = 40
         phases = np.empty((batch, mesh.n_points))
         for b in range(batch):
-            for sl, n in zip(mesh.row_slices, lengths):
+            for sl, n in zip(row_slices(mesh), lengths):
                 centre = rng.choice([0.0, 180.0, rng.uniform(-180.0, 180.0)])
                 spread = rng.choice([0.0, 1e-6, 3.0, 90.0, 179.0, 181.0, 300.0, 360.0])
                 phases[b, sl] = centre + spread * (rng.random(n) - 0.5)
@@ -254,7 +244,7 @@ class TestFomValuesOracle:
         foms = fom_values(mesh, vals)
         for b in range(batch):
             want = max(circular_range_bruteforce(np.degrees(np.angle(vals[b, sl])))
-                       for sl in mesh.row_slices)
+                       for sl in row_slices(mesh))
             assert foms[2][b] == pytest.approx(want, abs=1e-9)
             assert fom_values(mesh, vals[b]) == tuple(f[b] for f in foms)
 
@@ -318,16 +308,13 @@ DEFAULT_IES = np.round(np.arange(0.5, 1.51, 0.05), 2)  # the default sweep grid,
 
 def half_rows(mesh):
     """The x >= 0 half of every row of a zone mesh, as the sweep synthesizes it."""
-    keep = mesh.points[:, 0] >= 0
-    stops = np.cumsum([int(keep[sl].sum()) for sl in mesh.row_slices])
-    starts = np.concatenate(([0], stops[:-1]))
-    return TestZoneMesh(mesh.points[keep], tuple(map(slice, starts, stops)), mesh.pitch)
+    return TestZoneMesh(mesh.pitch, mesh.row_y, 0, mesh.row_hi)
 
 
 def one_row(mesh):
     """The widest row of a zone mesh alone."""
-    sl = max(mesh.row_slices, key=lambda s: s.stop - s.start)
-    return TestZoneMesh(mesh.points[sl], (slice(0, sl.stop - sl.start),), mesh.pitch)
+    r = np.argmax(np.diff(mesh.edges))
+    return TestZoneMesh(mesh.pitch, mesh.row_y[r:r + 1], mesh.row_lo[r], mesh.row_hi[r])
 
 
 @pytest.fixture
@@ -389,18 +376,31 @@ class TestFieldOverMeshLattice:
     @pytest.mark.parametrize("pitch", [0.0, -1.0, np.inf, np.nan])
     def test_mesh_rejects_bad_pitch(self, pitch):
         with pytest.raises(ValueError, match="pitch"):
-            TestZoneMesh(np.zeros((2, 2)), (slice(0, 2),), pitch)
+            TestZoneMesh(pitch, [1.0], 0, 1)
 
-    @pytest.mark.parametrize("case", ["ies_off_lattice", "points_off_pitch", "kernel_too_long"])
+    @pytest.mark.parametrize("rows, match", [
+        (([], [], []), "at least one row"),
+        (([1.0, 2.0], [0, 0], [2]), "one entry per row"),
+        (([1.0, 2.0, 3.0], [0, 3, 3], [2, 2, 5]), "at least one point"),
+    ], ids=["no_rows", "mismatched_lengths", "empty_row"])
+    def test_mesh_rejects_bad_rows(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            TestZoneMesh(1.0, *rows)
+
+    def test_points_follow_the_rows(self):
+        mesh = TestZoneMesh(0.5, [3.0, 4.0], [-1, 2], [1, 2])
+        assert mesh.n_points == 4
+        assert mesh.edges.tolist() == [0, 3, 4]
+        assert mesh.points.tolist() == [[-0.5, 3.0], [0.0, 3.0], [0.5, 3.0], [1.0, 4.0]]
+
+    @pytest.mark.parametrize("case", ["ies_off_lattice", "kernel_too_long"])
     def test_fallback_is_direct_synthesis(self, wave, lam, pairs_synthesized, case):
         ies = lam / np.sqrt(2) if case == "ies_off_lattice" else 0.7 * lam
         layout = ChamberSpec().layout(ies)
         mesh = build_mesh(TestZoneSpec(300 * lam, 2 * lam, lam / 8))
-        if case == "points_off_pitch":
-            mesh = TestZoneMesh(mesh.points + [0.3 * mesh.pitch, 0.0], mesh.row_slices,
-                                mesh.pitch)
-        elif case == "kernel_too_long":
-            mesh = TestZoneMesh(mesh.points[:1], (slice(0, 1),), mesh.pitch)
+        if case == "kernel_too_long":
+            mesh = TestZoneMesh(mesh.pitch, mesh.row_y[:1], mesh.row_lo[:1], mesh.row_lo[:1])
         got = field_over_mesh(layout, wave, mesh)
-        assert pairs_synthesized == [mesh.n_points * 100]
+        # the rows go in blocks, so the pairs may be synthesized over several calls
+        assert sum(pairs_synthesized) == mesh.n_points * 100
         assert np.array_equal(got, field_at_points(layout, wave, mesh.points))
