@@ -219,6 +219,30 @@ class TestFomValuesGuards:
         with pytest.raises(ValueError, match="two samples"):
             fom_values(rows_mesh([1]), np.ones(shape, dtype=complex))
 
+    # each slice(a, b) is a row holding the lattice points a .. b - 1; rows in
+    # any order are a valid mesh now, so only rows that cannot make a mesh or
+    # that do not hold exactly the six samples are rejected
+    @pytest.mark.parametrize("slices", [
+        (),                                         # no rows
+        (slice(0, 2), slice(3, 6)),                 # gap: 5 points
+        (slice(0, 3), slice(2, 6)),                 # overlap: 7 points
+        (slice(0, 2), slice(2, 5)),                 # short of the last point: 5 points
+        (slice(0, 3), slice(3, 3), slice(3, 6)),    # empty row
+    ])
+    @pytest.mark.parametrize("shape", [(6,), (2, 6)])
+    def test_rejects_rows_that_do_not_tile(self, slices, shape):
+        lengths = [s.stop - s.start for s in slices]
+        if not slices:
+            match = "at least one row"
+        elif min(lengths) == 0:
+            match = "at least one point"
+        else:
+            match = f"6 samples for a mesh of {sum(lengths)} points"
+        with pytest.raises(ValueError, match=match):
+            mesh = TestZoneMesh(1.0, np.arange(1.0, len(slices) + 1),
+                                [s.start for s in slices], [s.stop - 1 for s in slices])
+            fom_values(mesh, np.ones(shape, dtype=complex))
+
     def test_rejects_values_not_matching_the_mesh(self):
         for shape in ((6,), (2, 6), (4,), (2, 4)):
             with pytest.raises(ValueError, match="for a mesh of 5 points"):
