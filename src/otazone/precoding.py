@@ -96,7 +96,7 @@ def zf_weights(h: np.ndarray) -> np.ndarray:
 COMBINERS = {"MF": mf_weights, "ZF": zf_weights}
 
 
-def sinr(h: np.ndarray, w: np.ndarray, snr_db: float,
+def sinr(h: np.ndarray, w: np.ndarray, snr_db: float | Sequence[float],
          noise_norms: Optional[np.ndarray] = None):
     """Per-user uplink SINR with linear combining.
 
@@ -109,20 +109,21 @@ def sinr(h: np.ndarray, w: np.ndarray, snr_db: float,
     (m, n_dut, 2) batch, giving an (m, 2) array. ``noise_norms``
     overrides the per-column noise powers; the weight error study passes
     the nominal (error-free) combiner norms so the noise floor stays
-    anchored while the errors distort the gains.
+    anchored while the errors distort the gains. A sequence ``snr_db``
+    gives a list of such results, one per SNR, from one product G.
     """
     w = np.asarray(w)
     g = np.einsum('un,...nv->...uv', h, w)
-    rho = 10.0 ** (snr_db / 10.0)
     norms = np.sum(np.abs(w) ** 2, axis=-2) if noise_norms is None else np.asarray(noise_norms)
     if np.any(norms == 0.0):
         raise ValueError("zero-norm combiner column")
     gain = np.abs(g) ** 2
     # user u: signal G[u, u], interference G[v, u] with v = 1 - u
-    out = rho * gain[..., [0, 1], [0, 1]] / (rho * gain[..., [1, 0], [0, 1]] + norms)
+    out = [rho * gain[..., [0, 1], [0, 1]] / (rho * gain[..., [1, 0], [0, 1]] + norms)
+           for rho in [10.0 ** (snr / 10.0) for snr in np.atleast_1d(snr_db).tolist()]]
     if w.ndim == 2:
-        return float(out[0]), float(out[1])
-    return out
+        out = [(float(o[0]), float(o[1])) for o in out]
+    return out if np.ndim(snr_db) else out[0]
 
 
 def sum_rate(sinr_pair):
@@ -185,6 +186,7 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
             alpha = a_min + off
             h = build_channel(layout, dist, alpha, cfg.dut, wave)
             weights = {prec: combiner(h) for prec, combiner in COMBINERS.items()}
+            noise_norms = {prec: np.sum(np.abs(w) ** 2, axis=0) for prec, w in weights.items()}
             for si, sigma in enumerate(cfg.sigma_dut_db):
                 n_dut = cfg.dut.n_elements
                 if sigma == 0.0:
@@ -194,10 +196,9 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
                     eps_batch = draw_errors(ExcitationErrorModel(sigma), 2 * n_dut,
                                             keys).reshape(cfg.n_mc, n_dut, 2)
                 for prec, w in weights.items():
-                    noise_norms = np.sum(np.abs(w) ** 2, axis=0)
-                    w_batch = (1.0 + eps_batch) * w[None, :, :]
-                    for snr in cfg.snr_db:
-                        avg = float(sum_rate(sinr(h, w_batch, snr, noise_norms)).mean())
-                        results.append(SumRatePoint(layout.length, dist, alpha,
-                                                    prec, snr, sigma, avg))
+                    per_snr = sinr(h, (1.0 + eps_batch) * w[None, :, :], cfg.snr_db,
+                                   noise_norms[prec])
+                    for snr, pairs in zip(cfg.snr_db, per_snr):
+                        results.append(SumRatePoint(layout.length, dist, alpha, prec, snr,
+                                                    sigma, float(sum_rate(pairs).mean())))
     return results

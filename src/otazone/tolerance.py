@@ -40,19 +40,61 @@ class ExcitationErrorModel:
         return 10.0 ** (self.sigma_db / 20.0) - 1.0
 
 
+# numpy's SeedSequence hash and PCG64 multiplier; NEP 19 keeps both stable
+_M32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 2**32 - 1, 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R, _PCG_MULT = 0xca01f9dd, 0x4973f715, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_states(rows: Sequence[tuple]):
+    """Yield the PCG64 (state, inc) of ``default_rng(row)`` per tuple of ints in [0, 2**32)."""
+    # SeedSequence's hash, on all rows at once in wrapping uint32 arithmetic
+    lens = np.array([max(len(r), 4) for r in rows])  # shorter entropy mixes as if zero-padded
+    width = lens.max()
+    words = np.array([r + (0,) * (width - len(r)) for r in rows], dtype=np.uint32).T
+    h = [_INIT_A, _MULT_A]
+
+    def hashmix(v, k):  # k successive hashmix calls, one per row of the result
+        c = [h[0] * pow(h[1], j, 2**32) & _M32 for j in range(k + 1)]  # h0 * mult**j
+        h[0], c = c[-1], np.array(c, dtype=np.uint32)[:, None]
+        v = (v ^ c[:-1]) * c[1:]
+        return v ^ (v >> np.uint32(16))
+
+    pool = hashmix(words[:4], 4)
+    for src in range(width):  # the pool, then each row's entropy beyond it
+        dst = [d for d in range(4) if d != src]
+        m = (np.uint32(_MIX_L) * pool[dst]
+             - np.uint32(_MIX_R) * hashmix(pool[src] if src < 4 else words[src], len(dst)))
+        pool[dst] = np.where(lens > src, m ^ (m >> np.uint32(16)), pool[dst])
+    h[:] = _INIT_B, _MULT_B
+    out = hashmix(np.tile(pool, (2, 1)), 8).astype(np.uint64)
+    for a, b, c, d in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
+        inc = ((c << 64 | d) << 1 | 1) % 2**128  # seed a:b, sequence c:d, high words first
+        yield ((inc + (a << 64 | b)) * _PCG_MULT + inc) % 2**128, inc
+
+
 def draw_errors(model: ExcitationErrorModel, n: int, keys: Sequence) -> np.ndarray:
     """One row of n i.i.d. complex errors per key, each part N(0, sigma_linear).
 
-    Row i comes from its own stream, numpy's default generator (PCG64)
-    seeded with ``keys[i]``, through its ``standard_normal`` (ziggurat);
-    regression fixtures assume both. At zero deviation no stream is built.
+    Row i is ``default_rng(keys[i]).standard_normal((2, n))`` bit for bit. If
+    every key is an int or a tuple of ints in [0, 2**32), all are seeded at
+    once and one generator is re-keyed per row. At zero deviation no stream
+    is built.
     """
     s = model.sigma_linear
     if s == 0.0:
         return np.zeros((len(keys), n), dtype=complex)
     parts = np.empty((len(keys), 2, n))
-    for i, key in enumerate(keys):
-        parts[i] = np.random.default_rng(key).standard_normal((2, n))
+    rows = [(k,) if type(k) is int else k for k in keys]
+    if rows and all(type(r) is tuple and all(type(e) is int and 0 <= e <= _M32 for e in r)
+                    for r in rows):
+        gen = np.random.default_rng(keys[0])  # key 0's own stream, re-keyed per row
+        for row, (state, inc) in zip(parts, _pcg64_states(rows)):
+            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                       "uinteger": 0, "state": {"state": state, "inc": inc}}
+            gen.standard_normal(out=row)
+    else:
+        for i, key in enumerate(keys):
+            parts[i] = np.random.default_rng(key).standard_normal((2, n))
     parts *= s
     return parts[:, 0] + 1j * parts[:, 1]
 

@@ -417,6 +417,20 @@ class TestFieldOverMeshLattice:
         assert mesh.edges.tolist() == [0, 3, 4]
         assert mesh.points.tolist() == [[-0.5, 3.0], [0.0, 3.0], [0.5, 3.0], [1.0, 4.0]]
 
+    def test_row_on_array_line_is_synthesized_directly(self, wave, lam, pairs_synthesized):
+        # x = 15..41 pitches misses the elements at 0.7 lambda spacing (on the line they
+        # sit at +-14 and +-42 pitches), and the row is long enough that off the line it
+        # takes the kernel path; on the line its kernel would sample r = 0
+        layout = ChamberSpec().layout(0.7 * lam)
+        off_line = TestZoneMesh(lam / 8, [3 * lam], 15, 41)
+        field_over_mesh(layout, wave, off_line)
+        assert sum(pairs_synthesized) < off_line.n_points * 100
+        on_line = TestZoneMesh(lam / 8, [0.0], 15, 41)
+        pairs_synthesized.clear()
+        got = field_over_mesh(layout, wave, on_line)
+        assert sum(pairs_synthesized) == on_line.n_points * 100
+        assert np.array_equal(got, field_at_points(layout, wave, on_line.points))
+
     @pytest.mark.parametrize("case", ["ies_off_lattice", "kernel_too_long"])
     def test_fallback_is_direct_synthesis(self, wave, lam, pairs_synthesized, case):
         ies = lam / np.sqrt(2) if case == "ies_off_lattice" else 0.7 * lam

@@ -55,6 +55,42 @@ class TestDrawErrors:
         assert np.array_equal(a, b[::-1])
         assert not np.allclose(a[0], a[1])
 
+    @pytest.mark.parametrize("keys", [
+        [0, 2 ** 32 - 1, 17],
+        [[3, 4], [5], []],
+        [(np.int64(3), 4), np.uint32(9), (True, 2)],
+        [7, (7, 1), (), (1, 2, 3, 4, 5, 6), (2 ** 32 - 1,) * 5, (0, 0, 0, 0)],
+        [(5, 6), 2 ** 32, (1, 2 ** 32)],
+        [(5, 6), (1, -1)], [-5],
+        [(5, 6), 1.5], [(1, 2.0)],
+    ], ids=["bare_ints", "lists", "numpy_entries", "mixed_lengths", "beyond_32_bits",
+            "negative_entry", "negative_int", "float", "float_entry"])
+    def test_rows_match_default_rng_or_raise_alike(self, keys):
+        m = ExcitationErrorModel(0.3)
+        try:
+            want = np.array([np.random.default_rng(k).standard_normal((2, 9)) for k in keys])
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                draw_errors(m, 9, keys)
+            return
+        got = draw_errors(m, 9, keys)
+        assert got.real.tobytes() == (want[:, 0] * m.sigma_linear).tobytes()
+        assert got.imag.tobytes() == (want[:, 1] * m.sigma_linear).tobytes()
+
+    @pytest.mark.parametrize("n, keys", [
+        (100, [(s, level, r) for s in (0, 2 ** 32 - 1) for level in (1, 37, 200)
+               for r in range(100)]),
+        (98, [(s, g, a, si, it) for s in (0, 9) for g in range(2) for a in range(2)
+              for si in (1, 20) for it in range(250)]),
+    ], ids=["tolerance_keys", "precode_keys"])
+    def test_many_library_keys_match_default_rng(self, n, keys):
+        m = ExcitationErrorModel(1.3)
+        got = draw_errors(m, n, keys)
+        for i, k in enumerate(keys):
+            want = np.random.default_rng(k).standard_normal((2, n)) * m.sigma_linear
+            assert got[i].real.tobytes() == want[0].tobytes(), k
+            assert got[i].imag.tobytes() == want[1].tobytes(), k
+
 
 class TestLevelFomBatch:
     def test_matches_scalar_fom_path(self, wave, lam):
