@@ -308,14 +308,16 @@ def fom_values(mesh: TestZoneMesh, values: np.ndarray):
         raise ValueError("need at least two samples")
     if n != mesh.n_points:
         raise ValueError(f"{n} samples for a mesh of {mesh.n_points} points")
-    db = np.square(values.real)
-    db += np.square(values.imag)
-    if np.any(db == 0.0):
-        raise ValueError("zero-magnitude sample; dB undefined")
-    db = 10.0 * np.log10(db, out=db)
+    # a zero, infinite or NaN sample makes its dB non-finite, and with it R_mag
+    with np.errstate(all="ignore"):
+        db = np.square(values.real)
+        db += np.square(values.imag)
+        db = 10.0 * np.log10(db, out=db)
+        r_mag = np.ptp(db, axis=-1)
+    if not np.isfinite(r_mag).all():
+        raise ValueError("zero-magnitude or non-finite sample; dB undefined")
     phases = np.degrees(np.arctan2(values.imag, values.real))
-    foms = (np.ptp(db, axis=-1), db.std(axis=-1, ddof=1),
-            _worst_row_range(phases, mesh.edges[:-1]))
+    foms = (r_mag, db.std(axis=-1, ddof=1), _worst_row_range(phases, mesh.edges[:-1]))
     return tuple(float(f) for f in foms) if values.ndim == 1 else foms
 
 

@@ -8,13 +8,15 @@ steps until a level fails; two level-fail rules are available:
   "any"      - a level fails as soon as one of its n_mc realizations
                violates any figure of merit (conservative, lower bound);
   "majority" - a level fails when at least half of its realizations
-               violate (median-threshold estimate; with n_mc around 100
-               this reproduces single-realization-per-step searches in
-               expectation).
+               violate, so it estimates the deviation at which half the
+               realizations violate. On the default geometries that lies
+               above the mean of one-realization-per-step searches (seed 0,
+               n_mc = 100: 0.08 to 0.65 dB against means of 0.07 to 0.46 dB).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -133,41 +135,29 @@ def level_fom_batch(contrib: np.ndarray, mesh: TestZoneMesh,
     """FoM triples for a batch of error realizations.
 
     ``contrib`` is the (n_points, n_elements) error-free per-element field
-    matrix; ``eps`` is (n_elements, batch). Returns per-realization arrays
-    (r_mag, sigma_mag, r_phs), each of length batch.
+    matrix; ``eps`` is (batch, n_elements), one realization per row.
+    Returns per-realization arrays (r_mag, sigma_mag, r_phs), each of
+    length batch.
     """
-    return fom_values(mesh, (1.0 + eps).T @ contrib.T)
+    return fom_values(mesh, (1.0 + eps) @ contrib.T)
 
 
-def _draw_batch(model: ExcitationErrorModel, n_elements: int, seed: int,
-                level: int, start: int, stop: int) -> np.ndarray:
-    """Realizations start..stop of a level, keyed (seed, level, r), as (n_elements, batch)."""
-    keys = [(seed, level, r) for r in range(start, stop)]
-    return draw_errors(model, n_elements, keys).T
+def _failing_level_counts(contrib, mesh, eps, cfg) -> Optional[np.ndarray]:
+    """Per-FoM violation counts over the realizations (rows of ``eps``) of a failing level.
 
-
-def _failing_level_counts(contrib, mesh, model, cfg, level,
-                          n_elements) -> Optional[np.ndarray]:
-    """Per-FoM violation counts over all n_mc realizations of a failing level.
-
-    None as soon as the level can no longer fail. Each realization is
-    drawn and scored once; realization r always comes from the stream keyed
-    by (seed, level, r), so chunked evaluation cannot change the outcome.
+    None as soon as the level can no longer fail. The rows are scored 32 at
+    a time, each once.
     """
-    need_fail = 1 if cfg.fail_rule == "any" else (cfg.n_mc + 1) // 2
+    n = len(eps)
+    need_fail = 1 if cfg.fail_rule == "any" else (n + 1) // 2
     counts = np.zeros(len(FOM_ORDER), dtype=int)
     failures = 0
-    done = 0
-    chunk = max(1, min(cfg.n_mc, 32))
-    while done < cfg.n_mc:
-        if failures + (cfg.n_mc - done) < need_fail:
+    for start in range(0, n, 32):
+        if failures + n - start < need_fail:
             return None
-        stop = min(done + chunk, cfg.n_mc)
-        eps = _draw_batch(model, n_elements, cfg.rng_seed, level, done, stop)
-        viol = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps))
+        viol = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps[start:start + 32]))
         counts += viol.sum(axis=1)
         failures += int(viol.any(axis=0).sum())
-        done = stop
     return counts if failures >= need_fail else None
 
 
@@ -194,20 +184,19 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     contrib = element_fields(chamber.layout(ies), wave, mesh.points)
 
     # Level 0 must pass with zero errors, otherwise tolerance is degenerate.
-    zero = np.zeros((n_elements, 1), dtype=complex)
+    zero = np.zeros((1, n_elements), dtype=complex)
     base = cfg.limits.violations(*level_fom_batch(contrib, mesh, zero))
     if base.any():
         idx = int(np.argmax(base[:, 0]))
         return ToleranceResult(0.0, FOM_ORDER[idx], 0.0)
 
-    level = 0
-    while True:
-        level += 1
+    for level in itertools.count(1):
         sigma_db = level * cfg.step_db
         if sigma_db > cfg.max_sigma_db + 1e-12:
             return ToleranceResult((level - 1) * cfg.step_db, None, None)
-        model = ExcitationErrorModel(sigma_db)
-        counts = _failing_level_counts(contrib, mesh, model, cfg, level, n_elements)
+        keys = [(cfg.rng_seed, level, r) for r in range(cfg.n_mc)]
+        eps = draw_errors(ExcitationErrorModel(sigma_db), n_elements, keys)
+        counts = _failing_level_counts(contrib, mesh, eps, cfg)
         if counts is not None:
             failing = FOM_ORDER[int(np.argmax(counts))]
             return ToleranceResult((level - 1) * cfg.step_db, failing, sigma_db)

@@ -23,7 +23,7 @@ from otazone.cli import main
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, build_mesh, circular_range_deg
-from otazone.tolerance import _draw_batch, level_fom_batch
+from otazone.tolerance import draw_errors, level_fom_batch
 
 from oracles import field_oracle, zf_oracle
 
@@ -114,7 +114,7 @@ def test_acceptance_4_tolerance_regression(wave, lam, report):
             fracs = []
             for level in (lo_level, lo_level + 5):
                 model = ExcitationErrorModel(level * step)
-                eps = _draw_batch(model, 100, seed=0, level=level, start=0, stop=500)
+                eps = draw_errors(model, 100, [(0, level, r) for r in range(500)])
                 viol = TIER1.violations(*level_fom_batch(contrib, mesh, eps))
                 fracs.append(float(viol.any(axis=0).mean()))
             mono.append(fracs[1] >= fracs[0] - 0.03)  # 3% sampling slack at n=500

@@ -164,6 +164,13 @@ class TestCliFom:
         code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", ies, "--d-lambda", d])
         assert code == 1
 
+    def test_non_finite_field_exits_with_message(self, tmp_path, capsys):
+        # at 1e300 Hz the element fields overflow: no FoM may come out as a pass
+        code, data = run_cli(tmp_path, ["fom", "--ies-lambda", "0.7", "--d-lambda", "591"],
+                             config={"frequency_hz": 1e300})
+        assert (code, data) == (1, b"")
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unwritable_output_exits_with_message(self, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "x.csv"
         code = main(["-o", str(out), "fom", "--ies-lambda", "0.7", "--d-lambda", "591"])
@@ -228,6 +235,13 @@ class TestCliTolerance:
         assert float(fields[3]) > 0.0
         assert fields[4] in ("R_mag", "sigma_mag", "R_phs", "exceeds_cap")
         assert fields[5:7] == ["3", "1"]
+
+    def test_non_finite_field_exits_with_message(self, tmp_path, capsys):
+        code, data = run_cli(tmp_path, ["tolerance"],
+                             config={"frequency_hz": 1e300, "tz_radius_lambda": 2.0,
+                                     "n_mc_tolerance": 3, "sigma_step_db": 0.5})
+        assert (code, data) == (1, b"")
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_byte_identical_rerun(self, tmp_path):
         _, a = run_cli(tmp_path, ["tolerance"], name="a.csv", config=self.CFG)

@@ -214,6 +214,16 @@ class TestFomValuesGuards:
         with pytest.raises(ValueError, match="zero-magnitude"):
             fom_values(rows_mesh([2, 4]), vals)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.inf), complex(np.nan, 0.0)],
+                             ids=["inf", "nan", "inf_imag", "nan_real"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
+    def test_rejects_non_finite_sample(self, bad, batch):
+        vals = np.ones((3, 6), dtype=complex)
+        vals[1, 4] = bad
+        with np.errstate(all="raise"):  # and warns of nothing on the way
+            with pytest.raises(ValueError, match="zero-magnitude or non-finite"):
+                fom_values(rows_mesh([2, 4]), vals if batch else vals[1])
+
     @pytest.mark.parametrize("shape", [(1,), (4, 1)])
     def test_needs_two_samples(self, shape):
         with pytest.raises(ValueError, match="two samples"):

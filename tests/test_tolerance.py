@@ -8,8 +8,7 @@ from otazone import (ExcitationErrorModel, FomLimits, ToleranceSearchConfig,
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, build_mesh, fom_values
 from otazone import tolerance
-from otazone.tolerance import (FOM_ORDER, _draw_batch, _failing_level_counts,
-                               level_fom_batch)
+from otazone.tolerance import FOM_ORDER, _failing_level_counts, level_fom_batch
 
 
 class TestErrorModel:
@@ -97,9 +96,9 @@ class TestLevelFomBatch:
         layout = ChamberSpec().layout(0.7 * lam)
         mesh = build_mesh(TestZoneSpec(300 * lam, 2 * lam, lam / 8))
         contrib = element_fields(layout, wave, mesh.points)
-        eps = draw_errors(ExcitationErrorModel(0.3), 100, [3]).T
+        eps = draw_errors(ExcitationErrorModel(0.3), 100, [3])
         rm, sm, rp = level_fom_batch(contrib, mesh, eps)
-        ref = fom_values(mesh, contrib @ (1.0 + eps[:, 0]))
+        ref = fom_values(mesh, contrib @ (1.0 + eps[0]))
         assert (rm[0], sm[0], rp[0]) == pytest.approx(ref, rel=1e-10)
 
     def test_errors_enter_per_element(self, wave, lam):
@@ -113,42 +112,43 @@ class TestLevelFomBatch:
             r = np.hypot(mesh.points[:, 0] - x, mesh.points[:, 1])
             direct += (1 + e) * t * np.exp(-1j * wave.wavenumber * r) / (4 * np.pi * r)
         contrib = element_fields(layout, wave, mesh.points)
-        rm, sm, rp = level_fom_batch(contrib, mesh, eps[:, None])
+        rm, sm, rp = level_fom_batch(contrib, mesh, eps[None, :])
         assert (rm[0], sm[0], rp[0]) == pytest.approx(fom_values(mesh, direct), rel=1e-9)
 
     def test_batch_columns_independent(self, wave, lam):
         layout = ChamberSpec().layout(1.0 * lam)
         mesh = build_mesh(TestZoneSpec(200 * lam, lam, lam / 8))
         contrib = element_fields(layout, wave, mesh.points)
-        eps = draw_errors(ExcitationErrorModel(0.2), 300, [4]).reshape(100, 3)
+        eps = draw_errors(ExcitationErrorModel(0.2), 300, [4]).reshape(3, 100)
         batched = np.stack(level_fom_batch(contrib, mesh, eps))
         for j in range(3):
-            single = np.stack(level_fom_batch(contrib, mesh, eps[:, j:j + 1]))
+            single = np.stack(level_fom_batch(contrib, mesh, eps[j:j + 1]))
             assert batched[:, j] == pytest.approx(single[:, 0], rel=1e-12)
 
     def test_zero_errors_reproduce_nominal(self, wave, lam):
         layout = ChamberSpec().layout(0.7 * lam)
         mesh = build_mesh(TestZoneSpec(250 * lam, 2 * lam, lam / 8))
         contrib = element_fields(layout, wave, mesh.points)
-        rm, sm, rp = level_fom_batch(contrib, mesh, np.zeros((100, 1), dtype=complex))
+        rm, sm, rp = level_fom_batch(contrib, mesh, np.zeros((1, 100), dtype=complex))
         from otazone import field_over_mesh
         ref = fom_values(mesh, field_over_mesh(layout, wave, mesh))
         assert (rm[0], sm[0], rp[0]) == pytest.approx(ref, rel=1e-12)
 
 
 class TestDrawBatchStreams:
+    """The search's draws: realization r of a level comes from the key (seed, level, r)."""
+
     def test_chunking_invariance(self):
         m = ExcitationErrorModel(0.4)
-        full = _draw_batch(m, 100, seed=9, level=3, start=0, stop=20)
-        parts = np.concatenate([
-            _draw_batch(m, 100, seed=9, level=3, start=0, stop=7),
-            _draw_batch(m, 100, seed=9, level=3, start=7, stop=20)], axis=1)
+        full = draw_errors(m, 100, [(9, 3, r) for r in range(20)])
+        parts = np.concatenate([draw_errors(m, 100, [(9, 3, r) for r in range(7)]),
+                                draw_errors(m, 100, [(9, 3, r) for r in range(7, 20)])])
         assert np.array_equal(full, parts)
 
     def test_levels_decorrelated(self):
         m = ExcitationErrorModel(0.4)
-        a = _draw_batch(m, 100, seed=9, level=1, start=0, stop=1)
-        b = _draw_batch(m, 100, seed=9, level=2, start=0, stop=1)
+        a = draw_errors(m, 100, [(9, 1, 0)])
+        b = draw_errors(m, 100, [(9, 2, 0)])
         assert not np.allclose(a, b)
 
 
@@ -218,7 +218,7 @@ class TestToleranceSearch:
         scored = []
 
         def counting(contrib, mesh, eps):
-            scored.append(eps.shape[1])
+            scored.append(eps.shape[0])
             return level_fom_batch(contrib, mesh, eps)
 
         monkeypatch.setattr(tolerance, "level_fom_batch", counting)
@@ -238,14 +238,32 @@ class TestToleranceSearch:
         res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
         level = round(res.failing_sigma_db / cfg.step_db)
         model = ExcitationErrorModel(res.failing_sigma_db)
-        eps = _draw_batch(model, 100, cfg.rng_seed, level, 0, cfg.n_mc)
+        eps = draw_errors(model, 100, [(cfg.rng_seed, level, r) for r in range(cfg.n_mc)])
         want = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps)).sum(axis=1)
         for rule in ("any", "majority"):
-            counts = _failing_level_counts(contrib, mesh, model,
-                                           replace(cfg, fail_rule=rule), level, 100)
+            counts = _failing_level_counts(contrib, mesh, eps, replace(cfg, fail_rule=rule))
             assert counts.tolist() == want.tolist()
-        assert _failing_level_counts(contrib, mesh, ExcitationErrorModel(res.tolerated_sigma_db),
-                                     cfg, level - 1, 100) is None
+        passing = draw_errors(ExcitationErrorModel(res.tolerated_sigma_db), 100,
+                              [(cfg.rng_seed, level - 1, r) for r in range(cfg.n_mc)])
+        assert _failing_level_counts(contrib, mesh, passing, cfg) is None
+
+    @pytest.mark.parametrize("fail_rule", ["any", "majority"])
+    def test_one_draw_per_level(self, wave, lam, monkeypatch, fail_rule):
+        calls = []
+
+        def recording(model, n, keys):
+            calls.append((model.sigma_db, n, list(keys)))
+            return draw_errors(model, n, keys)
+
+        monkeypatch.setattr(tolerance, "draw_errors", recording)
+        cfg = ToleranceSearchConfig(n_mc=40, rng_seed=2, fail_rule=fail_rule, step_db=0.05,
+                                    limits=FomLimits(0.05, 0.2, 2.0))
+        res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
+        levels = round(res.failing_sigma_db / cfg.step_db)
+        assert len(calls) == levels
+        for level, (sigma_db, n, keys) in enumerate(calls, start=1):
+            assert sigma_db == level * cfg.step_db and n == 100
+            assert keys == [(cfg.rng_seed, level, r) for r in range(cfg.n_mc)]
 
     def test_violation_mask_order(self):
         mask = FomLimits(sigma_mag_max=0.25, r_mag_max=1.0, r_phs_max=10.0).violations(
