@@ -103,8 +103,8 @@ def element_fields(layout: ArrayLayout, wave: WaveSpec,
     """Per-element field contributions t_i * exp(-j*k*r_i) / (4*pi*r_i).
 
     ``points`` has shape (M, 2); the result has shape (M, n_elements).
-    The tolerance search applies excitation errors to this matrix as
-    E = element_fields @ (1 + eps).
+    The tolerance search applies excitation errors to this matrix, which it
+    builds from the row-lattice kernel where it can, as E = contrib @ (1 + eps).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     pos = layout.positions

@@ -165,10 +165,27 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
     Either way the rows go in blocks of about _BLOCK_PAIRS (point, element)
     pairs, to bound memory.
     """
+    out = np.empty(mesh.n_points, dtype=complex)
+    for pts, g in _kernel_blocks(layout, wave, mesh):
+        if g is None:
+            out[pts] = field_at_points(layout, wave, mesh.points[pts])
+        else:
+            out[pts] = g @ layout.taper
+        del g  # not held while the next block is gathered
+    return out
+
+
+def _kernel_blocks(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):
+    """Yield (points, g) per block of rows of about _BLOCK_PAIRS (point, element) pairs.
+
+    ``points`` is the block's slice of the mesh points and g[p, i] =
+    kernel[m(p, i)] the untapered field of element i at point p, sampled
+    on the row lattice (see ``field_over_mesh``); g is None for every
+    block when there is no such lattice.
+    """
     plan = _row_lattice(layout, mesh)
     edges = mesh.edges
     counts = np.diff(edges)
-    out = np.empty(mesh.n_points, dtype=complex)
     if plan is not None:
         num, den, e, step, m_lo, k_len = plan
         k_start = np.concatenate(([0], np.cumsum(k_len)))
@@ -177,7 +194,7 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
     for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, counts.size]):
         pts = slice(edges[r0], edges[r1])
         if plan is None:
-            out[pts] = field_at_points(layout, wave, mesh.points[pts])
+            yield pts, None
             continue
         # the block's kernel samples, row after row: row r's sample j is at m_lo[r] + j
         rows = slice(r0, r1)
@@ -187,8 +204,7 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
             [m * step, np.repeat(mesh.row_y[rows], k_len[rows])]))
         idx = np.abs(mesh.lattice(r0, r1)[1][:, None] * num // den - e[None, :])
         idx += np.repeat(k_start[rows] - k_start[r0] - m_lo[rows], counts[rows])[:, None]
-        out[pts] = kernel[idx] @ layout.taper
-    return out
+        yield pts, kernel[idx]
 
 
 def _row_lattice(layout: ArrayLayout, mesh: TestZoneMesh):
@@ -295,6 +311,18 @@ class FomReport:
         return FomReport(rm, sm, rp, passed=not failing, failing_foms=failing)
 
 
+def _db_and_range(re: np.ndarray, im: np.ndarray):
+    """The dB magnitudes and their range along the last axis.
+
+    A zero, infinite or NaN sample makes its dB non-finite, and with it the range.
+    """
+    with np.errstate(all="ignore"):
+        db = np.square(re)
+        db += np.square(im)
+        db = 10.0 * np.log10(db, out=db)
+        return db, np.ptp(db, axis=-1)
+
+
 def fom_values(mesh: TestZoneMesh, values: np.ndarray):
     """(R_mag, sigma_mag, R_phs) of field realizations over the mesh.
 
@@ -308,12 +336,15 @@ def fom_values(mesh: TestZoneMesh, values: np.ndarray):
         raise ValueError("need at least two samples")
     if n != mesh.n_points:
         raise ValueError(f"{n} samples for a mesh of {mesh.n_points} points")
-    # a zero, infinite or NaN sample makes its dB non-finite, and with it R_mag
-    with np.errstate(all="ignore"):
-        db = np.square(values.real)
-        db += np.square(values.imag)
-        db = 10.0 * np.log10(db, out=db)
-        r_mag = np.ptp(db, axis=-1)
+    db, r_mag = _db_and_range(values.real, values.imag)
+    bad = ~np.isfinite(r_mag)
+    if bad.any() and np.isfinite(values).all():
+        # re**2 + im**2 overflows past about 1.3e154: score each such realization
+        # again scaled by an exact power of two, which shifts all its dB alike,
+        # with its largest part in [2**510, 2**511) so no square overflows
+        peak = np.maximum(abs(values.real), abs(values.imag)).max(axis=-1, keepdims=True)
+        e = np.where(bad[..., None], 511 - np.frexp(peak)[1], 0)
+        db, r_mag = _db_and_range(np.ldexp(values.real, e), np.ldexp(values.imag, e))
     if not np.isfinite(r_mag).all():
         raise ValueError("zero-magnitude or non-finite sample; dB undefined")
     phases = np.degrees(np.arctan2(values.imag, values.real))

@@ -22,9 +22,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import WaveSpec, element_fields
-from .testzone import (FOM_ORDER, ChamberSpec, FomLimits, TIER1, TestZoneMesh, build_mesh,
-                       fom_values)
+from .field import ArrayLayout, WaveSpec, element_fields
+from .testzone import (FOM_ORDER, ChamberSpec, FomLimits, TIER1, TestZoneMesh, _kernel_blocks,
+                       build_mesh, fom_values)
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,10 @@ class ToleranceResult:
     failing_sigma_db: Optional[float]
 
 
+# Rows of errors in level_fom_batch's largest chunk
+_CHUNK_ROWS = 32
+
+
 def level_fom_batch(contrib: np.ndarray, mesh: TestZoneMesh,
                     eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """FoM triples for a batch of error realizations.
@@ -138,27 +142,60 @@ def level_fom_batch(contrib: np.ndarray, mesh: TestZoneMesh,
     matrix; ``eps`` is (batch, n_elements), one realization per row.
     Returns per-realization arrays (r_mag, sigma_mag, r_phs), each of
     length batch.
+
+    The rows go in near-equal chunks of at most _CHUNK_ROWS (100 rows are
+    4 chunks of 25). While one worker thread scores chunk k, this thread
+    forms chunk k + 1's field product, so at most two chunk products are
+    alive at once. There is one worker whatever the CPU count, so the BLAS
+    threads stay free for the product.
     """
-    return fom_values(mesh, (1.0 + eps) @ contrib.T)
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by importing the CLI
+
+    parts, scoring = [], None
+    with ThreadPoolExecutor(max_workers=1) as pool:  # waits for the worker on any exit
+        for chunk in np.array_split(eps, max(1, -(-len(eps) // _CHUNK_ROWS))):
+            values = (1.0 + chunk) @ contrib.T
+            if scoring is not None:
+                parts.append(scoring.result())
+            scoring = pool.submit(fom_values, mesh, values)
+        parts.append(scoring.result())
+    return tuple(np.concatenate(f) for f in zip(*parts))
 
 
 def _failing_level_counts(contrib, mesh, eps, cfg) -> Optional[np.ndarray]:
     """Per-FoM violation counts over the realizations (rows of ``eps``) of a failing level.
 
-    None as soon as the level can no longer fail. The rows are scored 32 at
-    a time, each once.
+    None as soon as the level can no longer fail. The rows go to
+    ``level_fom_batch`` in strides of n - need_fail + 1, each row once:
+    the whole level under "any", and under "majority" a first stride after
+    which a level with no failure can no longer fail.
     """
     n = len(eps)
     need_fail = 1 if cfg.fail_rule == "any" else (n + 1) // 2
+    stride = n - need_fail + 1
     counts = np.zeros(len(FOM_ORDER), dtype=int)
     failures = 0
-    for start in range(0, n, 32):
+    for start in range(0, n, stride):
         if failures + n - start < need_fail:
             return None
-        viol = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps[start:start + 32]))
+        viol = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps[start:start + stride]))
         counts += viol.sum(axis=1)
         failures += int(viol.any(axis=0).sum())
     return counts if failures >= need_fail else None
+
+
+def _contrib(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh) -> np.ndarray:
+    """The (n_points, n_elements) per-element field matrix, contrib[p, i] = t_i * g[m(p, i)].
+
+    Built from ``field_over_mesh``'s row-lattice kernel; off that lattice,
+    from ``element_fields`` pair by pair.
+    """
+    contrib = np.empty((mesh.n_points, layout.n_elements), dtype=complex)
+    for pts, g in _kernel_blocks(layout, wave, mesh):
+        if g is None:
+            return element_fields(layout, wave, mesh.points)
+        np.multiply(g, layout.taper, out=contrib[pts])
+    return contrib
 
 
 def tolerance_search(ies: float, distance: float, wave: WaveSpec,
@@ -181,7 +218,7 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     """
     n_elements = chamber.n_elements
     mesh = build_mesh(chamber.zone(wave, distance))
-    contrib = element_fields(chamber.layout(ies), wave, mesh.points)
+    contrib = _contrib(chamber.layout(ies), wave, mesh)
 
     # Level 0 must pass with zero errors, otherwise tolerance is degenerate.
     zero = np.zeros((1, n_elements), dtype=complex)

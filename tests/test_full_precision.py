@@ -11,9 +11,10 @@ bits. ``tests/data/full_precision.json`` holds, written with ``repr``
 - ``field_over_mesh`` on half-row, one-row and asymmetric meshes and at an
   IES off the mesh lattice, the ``evaluate_fom`` triples of two standard
   geometries, and the per-realization FoM triples of every level of a
-  tolerance search whose n_mc leaves its last 32-realization batch
-  partial. These go through BLAS, which may round differently on another
-  host, so they are compared to a relative 1e-11.
+  tolerance search with n_mc = 40, a level that ``level_fom_batch``
+  scores in two chunks of 20 (at most 32 rows each). These go through
+  BLAS, which may round differently on another host, so they are
+  compared to a relative 1e-11.
 
 Regenerate the file only for an intended output change, with
 ``python tests/test_full_precision.py``, and say why.
@@ -153,7 +154,7 @@ def test_stored_values_are_nontrivial():
     for name, (_, mesh) in MESHES.items():
         assert np.shape(stored["field_over_mesh"][name]["real"]) == (mesh.n_points,)
     assert np.shape(stored["evaluate_fom"]) == (len(STUDY_GEOMETRIES), 3)
-    # 40 realizations per level: a full 32-realization batch, then a partial one
+    # 40 realizations per level: two chunks of 20
     levels = round(SEARCH["max_sigma_db"] / SEARCH["step_db"])
     assert np.shape(stored["tolerance_levels"]) == (levels, SEARCH["n_mc"], 3)
     assert len(np.unique(stored["tolerance_levels"])) == levels * SEARCH["n_mc"] * 3

@@ -224,6 +224,18 @@ class TestFomValuesGuards:
             with pytest.raises(ValueError, match="zero-magnitude or non-finite"):
                 fom_values(rows_mesh([2, 4]), vals if batch else vals[1])
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
+    def test_scores_finite_sample_whose_square_overflows(self, batch):
+        # |1e200|**2 overflows a float; the FoMs are those of the dB values (4000, 0, ..., 0)
+        vals = np.ones((3, 6), dtype=complex)
+        vals[1, 4] = 1e200
+        rm, sm, rp = fom_values(rows_mesh([2, 4]), vals if batch else vals[1])
+        want = (4000.0, np.std([4000.0, 0, 0, 0, 0, 0], ddof=1), 0.0)
+        if batch:
+            assert [rm[0], sm[0], rp[0], rm[2], sm[2], rp[2]] == [0.0] * 6
+            rm, sm, rp = rm[1], sm[1], rp[1]
+        assert (rm, sm, rp) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("shape", [(1,), (4, 1)])
     def test_needs_two_samples(self, shape):
         with pytest.raises(ValueError, match="two samples"):

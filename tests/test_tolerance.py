@@ -1,3 +1,6 @@
+import concurrent.futures
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -5,10 +8,11 @@ import pytest
 
 from otazone import (ExcitationErrorModel, FomLimits, ToleranceSearchConfig,
                      ChamberSpec, draw_errors, tolerance_search)
+from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, build_mesh, fom_values
 from otazone import tolerance
-from otazone.tolerance import FOM_ORDER, _failing_level_counts, level_fom_batch
+from otazone.tolerance import FOM_ORDER, _contrib, _failing_level_counts, level_fom_batch
 
 
 class TestErrorModel:
@@ -133,6 +137,134 @@ class TestLevelFomBatch:
         from otazone import field_over_mesh
         ref = fom_values(mesh, field_over_mesh(layout, wave, mesh))
         assert (rm[0], sm[0], rp[0]) == pytest.approx(ref, rel=1e-12)
+
+
+class TestKernelContrib:
+    """The search's contrib matrix from the row-lattice kernel against element_fields."""
+
+    @pytest.mark.parametrize("ies, d", DEFAULT_GEOMETRIES_LAMBDA)
+    def test_matches_element_fields(self, wave, lam, ies, d, monkeypatch):
+        layout = ChamberSpec().layout(ies * lam)
+        mesh = build_mesh(ChamberSpec().zone(wave, d * lam))
+        want = element_fields(layout, wave, mesh.points)
+        monkeypatch.setattr(tolerance, "element_fields", None)  # on the lattice: kernel only
+        np.testing.assert_allclose(_contrib(layout, wave, mesh), want, rtol=1e-11, atol=0)
+
+    def test_off_lattice_is_element_fields(self, wave, lam):
+        layout = ChamberSpec().layout(lam / np.sqrt(2))
+        mesh = build_mesh(ChamberSpec().zone(wave, 300 * lam))
+        assert np.array_equal(_contrib(layout, wave, mesh),
+                              element_fields(layout, wave, mesh.points))
+
+
+class InlineExecutor:
+    """A stand-in for ThreadPoolExecutor that runs each call at once in the caller's thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class FailingSecondProduct:
+    """A contrib whose second chunk product raises; the first is contrib's own."""
+
+    __array_ufunc__ = None  # so ``rows @ self`` calls __rmatmul__
+
+    def __init__(self, contrib):
+        self.contrib, self.products = contrib, 0
+
+    @property
+    def T(self):
+        return self
+
+    def __rmatmul__(self, rows):
+        self.products += 1
+        if self.products == 2:
+            raise RuntimeError("product failed")
+        return rows @ self.contrib.T
+
+
+class TestChunkOverlap:
+    """level_fom_batch scores chunk k on a worker thread while it forms chunk k + 1."""
+
+    @pytest.fixture
+    def level(self, wave, lam):
+        layout = ChamberSpec().layout(0.7 * lam)
+        mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
+        eps = draw_errors(ExcitationErrorModel(0.3), 100, [(0, 1, r) for r in range(70)])
+        return element_fields(layout, wave, mesh.points), mesh, eps
+
+    @pytest.fixture
+    def scoring(self, monkeypatch):
+        """Records each fom_values call's thread and rows; ``active`` counts calls running."""
+        calls, active, real = [], [0], tolerance.fom_values
+
+        def recording(mesh, values):
+            active[0] += 1
+            try:
+                calls.append((threading.get_ident(), len(values)))
+                time.sleep(0.05)
+                return real(mesh, values)
+            finally:
+                active[0] -= 1
+
+        monkeypatch.setattr(tolerance, "fom_values", recording)
+        return calls, active
+
+    def test_matches_synchronous_scoring(self, level, scoring, monkeypatch):
+        calls, _ = scoring
+        threaded = level_fom_batch(*level)
+        assert [n for _, n in calls] == [24, 23, 23]  # 70 rows: three near-equal chunks
+        assert threading.get_ident() not in {t for t, _ in calls}
+        calls.clear()
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        inline = level_fom_batch(*level)
+        assert calls == [(threading.get_ident(), n) for n in (24, 23, 23)]
+        for got, want in zip(threaded, inline):
+            assert got.shape == (70,) and got.tobytes() == want.tobytes()
+
+    def test_worker_error_reaches_caller(self, level, scoring):
+        calls, active = scoring
+        contrib, mesh, eps = level
+        eps[30] = -1.0  # realization 30, in the second chunk, has zero field
+        with pytest.raises(ValueError, match="zero-magnitude"):
+            level_fom_batch(contrib, mesh, eps)
+        assert active == [0] and [n for _, n in calls] == [24, 23]
+
+    def test_no_chunk_left_running_after_product_error(self, level, scoring):
+        calls, active = scoring
+        contrib, mesh, eps = level
+        with pytest.raises(RuntimeError, match="product failed"):
+            level_fom_batch(FailingSecondProduct(contrib), mesh, eps)
+        assert active == [0] and [n for _, n in calls] == [24]
+
+    @pytest.mark.parametrize("fail_rule, rows", [("any", [70]), ("majority", [70 - 35 + 1])])
+    def test_passing_level_rows_scored(self, level, monkeypatch, fail_rule, rows):
+        contrib, mesh, _ = level
+        scored = []
+
+        def counting(contrib, mesh, eps):
+            scored.append(len(eps))
+            return level_fom_batch(contrib, mesh, eps)
+
+        monkeypatch.setattr(tolerance, "level_fom_batch", counting)
+        cfg = ToleranceSearchConfig(n_mc=70, fail_rule=fail_rule)
+        zero = np.zeros((70, 100), dtype=complex)
+        assert _failing_level_counts(contrib, mesh, zero, cfg) is None
+        assert scored == rows
 
 
 class TestDrawBatchStreams:
