@@ -9,6 +9,7 @@ default.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -155,16 +156,8 @@ def load_config(data: Optional[Dict[str, object]] = None,
     unknown = set(data) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg: Dict[str, object] = {}
-    for key, default in _DEFAULTS.items():
-        if key in data:
-            cfg[key] = data[key]
-        elif isinstance(default, dict):
-            cfg[key] = dict(default)
-        elif isinstance(default, list):
-            cfg[key] = [list(v) if isinstance(v, list) else v for v in default]
-        else:
-            cfg[key] = default
+    cfg = copy.deepcopy(_DEFAULTS)
+    cfg.update(data)
     _validate(cfg)
     with _naming(cfg, "frequency_hz"):
         wave = WaveSpec(frequency=float(cfg["frequency_hz"]))

@@ -25,8 +25,8 @@ class WaveSpec:
     frequency: float = 28e9
 
     def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValueError("frequency must be positive")
+        if not (0 < self.frequency < np.inf and SPEED_OF_LIGHT / float(self.frequency) < np.inf):
+            raise ValueError("frequency must be positive and finite, with a finite wavelength")
 
     @property
     def wavelength(self) -> float:

@@ -10,6 +10,7 @@ circular phase range (degrees).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -143,8 +144,8 @@ def build_mesh(spec: TestZoneSpec) -> TestZoneMesh:
     return TestZoneMesh(spec.pitch, spec.distance + b * spec.pitch, -half, half)
 
 
-# IES / pitch is matched by the fraction P/Q of least Q up to this bound; a larger
-# one makes the kernel step so fine that the kernel outgrows the pairs.
+# IES / pitch is matched by the nearest fraction P/Q with Q up to this bound; a
+# larger one makes the kernel step so fine that the kernel outgrows the pairs.
 _MAX_DENOMINATOR = 1000
 # Relative slack of the lattice tests: float rounding of the inputs, no more.
 _LATTICE_RTOL = 1e-12
@@ -220,13 +221,13 @@ def _row_lattice(layout: ArrayLayout, mesh: TestZoneMesh):
     if np.any(mesh.row_y == 0.0):
         return None
     ratio = layout.ies / mesh.pitch
-    q = next((q for q in range(1, _MAX_DENOMINATOR + 1)
-              if abs(ratio - round(ratio * q) / q) <= _LATTICE_RTOL * ratio), None)
-    if q is None:
+    # Two fractions with Q <= 1000 differ by at least 1e-6, so below a ratio of 5e5
+    # at most one lies within _LATTICE_RTOL * ratio, and that one is the nearest.
+    p, q = Fraction(ratio).limit_denominator(_MAX_DENOMINATOR).as_integer_ratio()
+    if abs(ratio - p / q) > _LATTICE_RTOL * ratio:
         return None
     # in units of pitch / (2Q): points at 2Q * a, elements at (2i - N + 1) * P; the
     # gcd of a row's points is that of its first one and, if it has one, its second
-    p = round(ratio * q)
     a_lo, a_hi = 2 * q * mesh.row_lo, 2 * q * mesh.row_hi
     e = (2 * np.arange(layout.n_elements, dtype=np.int64) - (layout.n_elements - 1)) * p
     g = max(int(np.gcd.reduce(np.concatenate([a_lo, np.minimum(a_lo + 2 * q, a_hi), e]))), 1)

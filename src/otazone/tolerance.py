@@ -187,14 +187,16 @@ def _failing_level_counts(contrib, mesh, eps, cfg) -> Optional[np.ndarray]:
 def _contrib(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh) -> np.ndarray:
     """The (n_points, n_elements) per-element field matrix, contrib[p, i] = t_i * g[m(p, i)].
 
-    Built from ``field_over_mesh``'s row-lattice kernel; off that lattice,
-    from ``element_fields`` pair by pair.
+    Filled block by block like ``field_over_mesh``: from its row-lattice
+    kernel, or off that lattice from ``element_fields`` pair by pair.
     """
     contrib = np.empty((mesh.n_points, layout.n_elements), dtype=complex)
     for pts, g in _kernel_blocks(layout, wave, mesh):
         if g is None:
-            return element_fields(layout, wave, mesh.points)
-        np.multiply(g, layout.taper, out=contrib[pts])
+            contrib[pts] = element_fields(layout, wave, mesh.points[pts])
+        else:
+            np.multiply(g, layout.taper, out=contrib[pts])
+        del g  # not held while the next block is gathered
     return contrib
 
 
@@ -204,36 +206,28 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     """Largest error deviation (dB) the geometry tolerates at every FoM.
 
     ``chamber`` gives the array at spacing ``ies`` and the test zone at
-    ``distance``. The deviation starts at one step and increases
-    stepwise; each level runs ``n_mc`` fresh realizations and fails per
-    ``cfg.fail_rule``.
-    Realization streams are keyed by (seed, level index, realization
-    index), so results are independent of evaluation order, chunking, and
-    thread count.
+    ``distance``. Level 0 is one error-free realization; level k > 0 runs
+    ``n_mc`` fresh ones at k steps. Each level fails per ``cfg.fail_rule``.
+    Realization streams are keyed by (seed, level, realization), so results
+    do not depend on evaluation order, chunking or thread count.
 
     Returns the last passing level and the failing FoM attributed by
     majority vote over the violating realizations at the failing level
-    (ties broken in the order R_mag, sigma_mag, R_phs). If nothing fails
-    up to ``max_sigma_db`` there is no failing FoM (the search hit the cap).
+    (ties broken in the order R_mag, sigma_mag, R_phs); a failing level 0
+    tolerates 0 dB. If nothing fails up to ``max_sigma_db`` there is no
+    failing FoM (the search hit the cap).
     """
-    n_elements = chamber.n_elements
+    layout = chamber.layout(ies)
     mesh = build_mesh(chamber.zone(wave, distance))
-    contrib = _contrib(chamber.layout(ies), wave, mesh)
-
-    # Level 0 must pass with zero errors, otherwise tolerance is degenerate.
-    zero = np.zeros((1, n_elements), dtype=complex)
-    base = cfg.limits.violations(*level_fom_batch(contrib, mesh, zero))
-    if base.any():
-        idx = int(np.argmax(base[:, 0]))
-        return ToleranceResult(0.0, FOM_ORDER[idx], 0.0)
-
-    for level in itertools.count(1):
+    contrib = _contrib(layout, wave, mesh)
+    for level in itertools.count():
         sigma_db = level * cfg.step_db
         if sigma_db > cfg.max_sigma_db + 1e-12:
             return ToleranceResult((level - 1) * cfg.step_db, None, None)
         keys = [(cfg.rng_seed, level, r) for r in range(cfg.n_mc)]
-        eps = draw_errors(ExcitationErrorModel(sigma_db), n_elements, keys)
+        eps = (draw_errors(ExcitationErrorModel(sigma_db), layout.n_elements, keys) if level
+               else np.zeros((1, layout.n_elements), dtype=complex))
         counts = _failing_level_counts(contrib, mesh, eps, cfg)
         if counts is not None:
             failing = FOM_ORDER[int(np.argmax(counts))]
-            return ToleranceResult((level - 1) * cfg.step_db, failing, sigma_db)
+            return ToleranceResult(max(level - 1, 0) * cfg.step_db, failing, sigma_db)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,17 @@ class TestLoadConfig:
         assert load_config({"seed": 0}).config_hash() != \
             load_config({"seed": 1}).config_hash()
 
+    def test_mutating_raw_leaves_defaults_alone(self):
+        raw = load_config({}).raw
+        raw["ies_lambda"].append(9.0)
+        raw["geometries_lambda"][0][0] = 9.0
+        raw["limits"]["r_mag_db"] = 9.0
+        again = load_config({})
+        assert again.raw["ies_lambda"][-1] == 1.5
+        assert again.raw["geometries_lambda"][0] == [1.35, 286.0]
+        assert again.raw["limits"]["r_mag_db"] == 1.0
+        assert again.config_hash() == "9be2a9804778"
+
 
 def run_cli(tmp_path, argv, name="out.csv", config=None):
     args = []
@@ -153,12 +165,18 @@ class TestCliFom:
         ({"n_elements": "100"}, "n_elements must be an integer"),
         ({"d_range_lambda": [2450.0, 40.0]}, "d_range_lambda must be [lo, hi] with lo <= hi"),
         ({"sigma_step_db": 0.0}, "sigma_step_db=0.0"),
+        ({"frequency_hz": 1e-300}, "frequency_hz="),  # its wavelength overflows to inf
     ])
     def test_bad_value_exits_with_message(self, tmp_path, capsys, config, message):
-        code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", "0.7", "--d-lambda", "591"],
-                          config=config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", "0.7", "--d-lambda", "591"],
+                              config=config)
         assert code == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("ies, d", [
         ("0.7", "5"),  # D smaller than the zone radius violates the mesh precondition
@@ -168,11 +186,13 @@ class TestCliFom:
         code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", ies, "--d-lambda", d])
         assert code == 1
 
-    def test_huge_frequency_gives_default_rows(self, tmp_path):
-        # at 1e300 Hz the fields are finite but their squared magnitudes overflow;
-        # the FoMs depend on lengths in wavelengths only, so the rows are those at 28 GHz
+    @pytest.mark.parametrize("frequency", [1e300, 1e-250])
+    def test_huge_frequency_gives_default_rows(self, tmp_path, frequency):
+        # at 1e300 Hz the fields are finite but their squared magnitudes overflow, at
+        # 1e-250 Hz they underflow; the FoMs depend on lengths in wavelengths only, so
+        # the rows are those at 28 GHz
         argv = ["fom", "--ies-lambda", "0.7", "--d-lambda", "591"]
-        code, data = run_cli(tmp_path, argv, name="huge.csv", config={"frequency_hz": 1e300})
+        code, data = run_cli(tmp_path, argv, name="huge.csv", config={"frequency_hz": frequency})
         assert code == 0
         assert data.splitlines()[1:] == run_cli(tmp_path, argv)[1].splitlines()[1:]
 

@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otazone import (ExcitationErrorModel, FomLimits, ToleranceSearchConfig,
-                     ChamberSpec, draw_errors, tolerance_search)
+from otazone import (TIER1, ExcitationErrorModel, FomLimits, ToleranceSearchConfig,
+                     ChamberSpec, draw_errors, evaluate_fom, tolerance_search)
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
-from otazone.testzone import TestZoneSpec, build_mesh, fom_values
+from otazone.testzone import TestZoneSpec, _kernel_blocks, build_mesh, fom_values
 from otazone import tolerance
 from otazone.tolerance import FOM_ORDER, _contrib, _failing_level_counts, level_fom_batch
 
@@ -156,6 +156,23 @@ class TestKernelContrib:
         assert np.array_equal(_contrib(layout, wave, mesh),
                               element_fields(layout, wave, mesh.points))
 
+    def test_off_lattice_one_call_per_row_block(self, wave, lam, monkeypatch):
+        layout = ChamberSpec().layout(lam / np.sqrt(2))
+        mesh = build_mesh(ChamberSpec().zone(wave, 300 * lam))
+        calls = []
+
+        def recording(layout, wave, points):
+            calls.append(points)
+            return element_fields(layout, wave, points)
+
+        monkeypatch.setattr(tolerance, "element_fields", recording)
+        _contrib(layout, wave, mesh)
+        blocks = [pts for pts, _ in _kernel_blocks(layout, wave, mesh)]
+        assert len(blocks) > 1 and len(calls) == len(blocks)
+        for pts, points in zip(blocks, calls):
+            assert np.array_equal(points, mesh.points[pts])
+        assert np.array_equal(np.concatenate(calls), mesh.points)
+
 
 class InlineExecutor:
     """A stand-in for ThreadPoolExecutor that runs each call at once in the caller's thread."""
@@ -295,13 +312,27 @@ class TestSearchConfig:
 
 
 class TestToleranceSearch:
-    def test_degenerate_geometry_returns_zero(self, wave, lam):
-        # (0.5 lam, 40 lam) already violates tier 1 with zero error
-        cfg = ToleranceSearchConfig(n_mc=1)
+    @pytest.mark.parametrize("fail_rule", ["any", "majority"])
+    @pytest.mark.parametrize("n_mc", [1, 100])
+    def test_degenerate_geometry_returns_zero(self, wave, lam, monkeypatch, fail_rule, n_mc):
+        # (0.5 lam, 40 lam) already violates tier 1 with zero error: level 0 fails
+        batches, draws = [], []
+
+        def recording(contrib, mesh, eps):
+            batches.append(eps.copy())
+            return level_fom_batch(contrib, mesh, eps)
+
+        monkeypatch.setattr(tolerance, "level_fom_batch", recording)
+        monkeypatch.setattr(tolerance, "draw_errors", lambda *args: draws.append(args))
+        cfg = ToleranceSearchConfig(n_mc=n_mc, fail_rule=fail_rule)
         res = tolerance_search(0.5 * lam, 40 * lam, wave, cfg)
         assert res.tolerated_sigma_db == 0.0
         assert res.failing_sigma_db == 0.0
-        assert res.first_failing_fom in FOM_ORDER
+        chamber = ChamberSpec()
+        report = evaluate_fom(chamber.layout(0.5 * lam), wave, chamber.zone(wave, 40 * lam), TIER1)
+        assert res.first_failing_fom == report.failing_foms[0]
+        assert len(batches) == 1 and batches[0].shape == (1, 100) and not batches[0].any()
+        assert draws == []
 
     def test_exceeds_cap_with_loose_limits(self, wave, lam):
         cfg = ToleranceSearchConfig(n_mc=2, max_sigma_db=0.05,
@@ -357,8 +388,8 @@ class TestToleranceSearch:
         cfg = ToleranceSearchConfig(n_mc=70, rng_seed=0)
         res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
         levels = round(res.failing_sigma_db / cfg.step_db)
-        # the zero-error check, then all n_mc realizations of every level
-        # up to and including the failing one
+        # level 0's one error-free row, then all n_mc realizations of every
+        # level up to and including the failing one
         assert sum(scored) == 1 + levels * cfg.n_mc
 
     def test_failing_level_counts_match_full_batch(self, wave, lam):
