@@ -49,7 +49,7 @@ def make_taper(n_elements: int, n_edge: int, depth_db: float, endpoint: str) -> 
     """
     if n_edge < 0 or 2 * n_edge > n_elements:
         raise ValueError(f"n_edge={n_edge} must satisfy 0 <= 2*n_edge <= n_elements={n_elements}")
-    if depth_db > 0:
+    if not depth_db <= 0:
         raise ValueError(f"depth_db={depth_db} must be <= 0")
     if endpoint not in ("inclusive", "exclusive"):
         raise ValueError(f"unknown endpoint convention {endpoint!r}")

@@ -29,8 +29,8 @@ class DutArraySpec:
     def __post_init__(self):
         if self.n_elements < 2:
             raise ValueError("DUT needs at least 2 elements")
-        if self.ies_lambda <= 0:
-            raise ValueError("DUT spacing ies_lambda must be positive")
+        if not 0 < self.ies_lambda < np.inf:
+            raise ValueError("DUT spacing ies_lambda must be positive and finite")
 
     def spacing(self, wave: WaveSpec) -> float:
         return self.ies_lambda * wave.wavelength
@@ -43,7 +43,7 @@ class DutArraySpec:
 
 def alpha_min_deg(length: float, distance: float) -> float:
     """Minimum interferer angle when the two arrays abut on the same line."""
-    if length <= 0 or distance <= 0:
+    if not (length > 0 and distance > 0):
         raise ValueError("length and distance must be positive")
     return float(np.degrees(np.arctan2(length, distance)))
 
@@ -129,7 +129,7 @@ def sinr(h: np.ndarray, w: np.ndarray, snr_db: float | Sequence[float],
 def sum_rate(sinr_pair):
     """Aggregate spectral efficiency, bits/s/Hz: a float per SINR pair, m rates per (m, 2) batch."""
     s = np.asarray(sinr_pair, dtype=float)
-    if np.any(s < 0):
+    if not np.all(s >= 0):
         raise ValueError("SINR must be non-negative")
     rate = np.log2(1.0 + s).sum(axis=-1)
     return float(rate) if rate.ndim == 0 else rate
@@ -149,8 +149,10 @@ class StudyConfig:
             raise ValueError("n_mc must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
-        if not (self.snr_db and self.sigma_dut_db and self.alpha_offsets_deg):
-            raise ValueError("snr_db, sigma_dut_db and alpha_offsets_deg must be non-empty")
+        axes = (self.snr_db, self.sigma_dut_db, self.alpha_offsets_deg)
+        if not all(axes) or not np.isfinite(np.concatenate(axes)).all():
+            raise ValueError("snr_db, sigma_dut_db and alpha_offsets_deg must be non-empty "
+                             "and finite")
         if any(s < 0 for s in self.sigma_dut_db):
             raise ValueError("sigma_dut_db values must be >= 0")
 

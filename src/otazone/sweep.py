@@ -28,8 +28,8 @@ class SweepGrid:
     def __post_init__(self):
         ies = np.asarray(self.ies_values, dtype=float)
         d = np.asarray(self.d_values, dtype=float)
-        if ies.size == 0 or d.size == 0:
-            raise ValueError("grid axes must be non-empty")
+        if ies.size == 0 or d.size == 0 or not np.isfinite(np.r_[ies, d]).all():
+            raise ValueError("grid axes must be non-empty and finite")
         if np.any(np.diff(ies) <= 0) or np.any(np.diff(d) <= 0):
             raise ValueError("grid axes must be strictly increasing")
         if ies[0] <= 0:
@@ -117,11 +117,9 @@ def run_sweep(grid: SweepGrid, wave: WaveSpec,
     (symmetric positions and taper), so a point at -x reads the field at x.
     """
     grid.validate_cap(wave, chamber.n_elements)
-    ies0 = grid.ies_values[0]
-    for d in grid.d_values:
-        with _cell_errors(ies0, d):
-            chamber.zone(wave, d)  # rejects a zone that crosses the array line
-    zone = chamber.zone(wave, grid.d_values[0])
+    # D ascends, so only the nearest zone can cross the array line
+    with _cell_errors(grid.ies_values[0], grid.d_values[0]):
+        zone = chamber.zone(wave, grid.d_values[0])
     pitch = zone.pitch
     mesh = build_mesh(zone)
     # each zone point's row and |x| / pitch; the zone's n_rows rows lie at

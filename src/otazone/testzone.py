@@ -60,7 +60,7 @@ class ChamberSpec:
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
         self._taper()
-        if self.tz_radius_lambda <= 0 or self.mesh_pitch_lambda <= 0:
+        if not (self.tz_radius_lambda > 0 and self.mesh_pitch_lambda > 0):
             raise ValueError("tz_radius_lambda and mesh_pitch_lambda must be positive")
 
     def _taper(self) -> np.ndarray:
@@ -282,7 +282,7 @@ class FomLimits:
     r_phs_max: float
 
     def __post_init__(self):
-        if min(self.sigma_mag_max, self.r_mag_max, self.r_phs_max) <= 0:
+        if not all(x > 0 for x in (self.sigma_mag_max, self.r_mag_max, self.r_phs_max)):
             raise ValueError("all limits must be strictly positive")
 
     def violations(self, r_mag, sigma_mag, r_phs) -> np.ndarray:
@@ -312,24 +312,15 @@ class FomReport:
         return FomReport(rm, sm, rp, passed=not failing, failing_foms=failing)
 
 
-def _db_and_range(re: np.ndarray, im: np.ndarray):
-    """The dB magnitudes and their range along the last axis.
-
-    A zero, infinite or NaN sample makes its dB non-finite, and with it the range.
-    """
-    with np.errstate(all="ignore"):
-        db = np.square(re)
-        db += np.square(im)
-        db = 10.0 * np.log10(db, out=db)
-        return db, np.ptp(db, axis=-1)
-
-
 def fom_values(mesh: TestZoneMesh, values: np.ndarray):
     """(R_mag, sigma_mag, R_phs) of field realizations over the mesh.
 
     ``values`` is one realization, shape (n_points,), giving three floats,
     or a batch, shape (batch, n_points), giving three arrays of length
-    batch. Each realization is scored independently of the others.
+    batch. Each realization is scored independently of the others. The
+    dB magnitudes are 20 * log10|z|, |z| a hypot that neither overflows
+    nor underflows; a sample whose |z| is zero or not finite (finite
+    parts with |z| past DBL_MAX included) raises ValueError.
     """
     values = np.asarray(values)
     n = values.shape[-1]
@@ -337,18 +328,15 @@ def fom_values(mesh: TestZoneMesh, values: np.ndarray):
         raise ValueError("need at least two samples")
     if n != mesh.n_points:
         raise ValueError(f"{n} samples for a mesh of {mesh.n_points} points")
-    db, r_mag = _db_and_range(values.real, values.imag)
-    bad = ~np.isfinite(r_mag)
-    if bad.any() and np.isfinite(values).all():
-        # re**2 + im**2 overflows past about 1.3e154: score each such realization
-        # again scaled by an exact power of two, which shifts all its dB alike,
-        # with its largest part in [2**510, 2**511) so no square overflows
-        peak = np.maximum(abs(values.real), abs(values.imag)).max(axis=-1, keepdims=True)
-        e = np.where(bad[..., None], 511 - np.frexp(peak)[1], 0)
-        db, r_mag = _db_and_range(np.ldexp(values.real, e), np.ldexp(values.imag, e))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = np.abs(values)
+        np.log10(db, out=db)
+        db *= 20.0
+        r_mag = np.ptp(db, axis=-1)
     if not np.isfinite(r_mag).all():
         raise ValueError("zero-magnitude or non-finite sample; dB undefined")
-    phases = np.degrees(np.arctan2(values.imag, values.real))
+    phases = np.arctan2(values.imag, values.real)
+    np.degrees(phases, out=phases)
     foms = (r_mag, db.std(axis=-1, ddof=1), _worst_row_range(phases, mesh.edges[:-1]))
     return tuple(float(f) for f in foms) if values.ndim == 1 else foms
 

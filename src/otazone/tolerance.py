@@ -34,8 +34,8 @@ class ExcitationErrorModel:
     sigma_db: float
 
     def __post_init__(self):
-        if self.sigma_db < 0:
-            raise ValueError("sigma_db must be >= 0")
+        if not 0 <= self.sigma_db < np.inf:
+            raise ValueError("sigma_db must be >= 0 and finite")
 
     @property
     def sigma_linear(self) -> float:
@@ -111,10 +111,10 @@ class ToleranceSearchConfig:
     fail_rule: str = "any"
 
     def __post_init__(self):
-        if self.step_db <= 0:
-            raise ValueError("step_db must be positive")
-        if self.max_sigma_db < self.step_db:
-            raise ValueError("max_sigma_db must be at least one step_db")
+        if not 0 < self.step_db < np.inf:
+            raise ValueError("step_db must be positive and finite")
+        if not self.step_db <= self.max_sigma_db < np.inf:
+            raise ValueError("max_sigma_db must be finite and at least one step_db")
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
         if self.rng_seed < 0:

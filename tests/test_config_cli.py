@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otazone import ConfigError, load_config
+from otazone import (ChamberSpec, ConfigError, DutArraySpec, ExcitationErrorModel, FomLimits,
+                     StudyConfig, ToleranceSearchConfig, alpha_min_deg, load_config, sum_rate)
 from otazone.cli import main
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 
@@ -120,6 +121,32 @@ class TestLoadConfig:
         assert again.raw["geometries_lambda"][0] == [1.35, 286.0]
         assert again.raw["limits"]["r_mag_db"] == 1.0
         assert again.config_hash() == "9be2a9804778"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FomLimits(0.25, NAN, 10.0),
+    lambda: ExcitationErrorModel(NAN),
+    lambda: ExcitationErrorModel(INF),
+    lambda: ToleranceSearchConfig(step_db=NAN),
+    lambda: ToleranceSearchConfig(max_sigma_db=NAN),
+    lambda: DutArraySpec(ies_lambda=NAN),
+    lambda: StudyConfig(snr_db=(NAN,)),
+    lambda: StudyConfig(sigma_dut_db=(0.0, NAN)),
+    lambda: StudyConfig(alpha_offsets_deg=(INF,)),
+    lambda: ChamberSpec(tz_radius_lambda=NAN),
+    lambda: ChamberSpec(taper_depth_db=NAN),
+    lambda: alpha_min_deg(NAN, 1.0),
+    lambda: sum_rate([1.0, NAN]),
+], ids=["FomLimits", "error_model-nan", "error_model-inf", "step_db", "max_sigma_db",
+        "dut_ies", "snr_db", "sigma_dut_db", "alpha_offsets", "tz_radius", "taper_depth",
+        "alpha_min", "sum_rate"])
+def test_library_rejects_nan_and_inf(make):
+    # the config path rejects them first; the library types must too
+    with pytest.raises(ValueError):
+        make()
 
 
 def run_cli(tmp_path, argv, name="out.csv", config=None):

@@ -65,6 +65,14 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepGrid((0.5 * lam,), ())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("axis", ["ies", "d"])
+    def test_rejects_non_finite_axes(self, lam, axis, bad):
+        for values in ((bad,), (0.6 * lam, bad)):
+            axes = (values, (40 * lam,)) if axis == "ies" else ((0.5 * lam,), values)
+            with pytest.raises(ValueError, match="finite"):
+                SweepGrid(*axes)
+
 
 class TestRunSweep:
     def test_cells_match_direct_evaluation(self, wave, lam):

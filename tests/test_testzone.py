@@ -214,8 +214,10 @@ class TestFomValuesGuards:
         with pytest.raises(ValueError, match="zero-magnitude"):
             fom_values(rows_mesh([2, 4]), vals)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.inf), complex(np.nan, 0.0)],
-                             ids=["inf", "nan", "inf_imag", "nan_real"])
+    # the last has finite parts, but |z| = 2.1e308 is past DBL_MAX
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.inf), complex(np.nan, 0.0),
+                                     complex(1.5e308, 1.5e308)],
+                             ids=["inf", "nan", "inf_imag", "nan_real", "past_dbl_max"])
     @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
     def test_rejects_non_finite_sample(self, bad, batch):
         vals = np.ones((3, 6), dtype=complex)
@@ -226,15 +228,23 @@ class TestFomValuesGuards:
 
     @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
     def test_scores_finite_sample_whose_square_overflows(self, batch):
-        # |1e200|**2 overflows a float; the FoMs are those of the dB values (4000, 0, ..., 0)
-        vals = np.ones((3, 6), dtype=complex)
-        vals[1, 4] = 1e200
+        # |1e200|**2 overflows a float and |1e-200|**2 underflows to 0; the FoMs
+        # are those of the dB values (+-4000, 0, ..., 0)
+        for scale in (1e200, 1e-200):
+            vals = np.ones((3, 6), dtype=complex)
+            vals[1, 4] = scale
+            rm, sm, rp = fom_values(rows_mesh([2, 4]), vals if batch else vals[1])
+            want = (4000.0, np.std([4000.0, 0, 0, 0, 0, 0], ddof=1), 0.0)
+            if batch:
+                assert [rm[0], sm[0], rp[0], rm[2], sm[2], rp[2]] == [0.0] * 6
+                rm, sm, rp = rm[1], sm[1], rp[1]
+            assert (rm, sm, rp) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
+    def test_equal_tiny_samples_score_exactly_zero(self, batch):
+        vals = np.full((3, 6), 1e-170, dtype=complex)
         rm, sm, rp = fom_values(rows_mesh([2, 4]), vals if batch else vals[1])
-        want = (4000.0, np.std([4000.0, 0, 0, 0, 0, 0], ddof=1), 0.0)
-        if batch:
-            assert [rm[0], sm[0], rp[0], rm[2], sm[2], rp[2]] == [0.0] * 6
-            rm, sm, rp = rm[1], sm[1], rp[1]
-        assert (rm, sm, rp) == pytest.approx(want, rel=1e-12)
+        assert np.array([rm, sm, rp]).tolist() == ([[0.0] * 3] * 3 if batch else [0.0] * 3)
 
     @pytest.mark.parametrize("shape", [(1,), (4, 1)])
     def test_needs_two_samples(self, shape):
