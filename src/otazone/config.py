@@ -48,7 +48,7 @@ _DEFAULTS: Dict[str, object] = {
     "tolerance_fail_rule": _TOL.fail_rule,
     "max_sigma_db": _TOL.max_sigma_db,
     "snr_db": list(_STUDY.snr_db),
-    "sigma_dut_db": [float(x) for x in _STUDY.sigma_dut_db],
+    "sigma_dut_db": list(_STUDY.sigma_dut_db),
     "alpha_offsets_deg": list(_STUDY.alpha_offsets_deg),
     "n_mc_precode": _STUDY.n_mc,
     "dut_elements": _STUDY.dut.n_elements,

@@ -149,8 +149,10 @@ class StudyConfig:
             raise ValueError("n_mc must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
+        for name in ("snr_db", "sigma_dut_db", "alpha_offsets_deg"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         axes = (self.snr_db, self.sigma_dut_db, self.alpha_offsets_deg)
-        if not all(axes) or not np.isfinite(np.concatenate(axes)).all():
+        if not all(map(len, axes)) or not np.isfinite(np.concatenate(axes)).all():
             raise ValueError("snr_db, sigma_dut_db and alpha_offsets_deg must be non-empty "
                              "and finite")
         if any(s < 0 for s in self.sigma_dut_db):

@@ -160,11 +160,11 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
     When IES / pitch is a fraction P/Q, every element-to-point offset is a
     whole multiple of pitch / (2Q), so a row's field is
     sum_i t_i * g(|x_p - x_i|, y) for one kernel g, the field of a single
-    untapered element, sampled once per needed offset. Otherwise (IES off
-    the lattice, a row on the array line, or a kernel no shorter than the
-    pairs it replaces) every (point, element) pair is synthesized directly.
-    Either way the rows go in blocks of about _BLOCK_PAIRS (point, element)
-    pairs, to bound memory.
+    untapered element, sampled at every offset out to the row's reach (see
+    ``_row_lattice``). Otherwise (IES off the lattice, a row on the array
+    line, or a kernel no shorter than the pairs it replaces) every (point,
+    element) pair is synthesized directly. Either way the rows go in blocks
+    of about _BLOCK_PAIRS (point, element) pairs, to bound memory.
     """
     out = np.empty(mesh.n_points, dtype=complex)
     for pts, g in _kernel_blocks(layout, wave, mesh):
@@ -185,36 +185,34 @@ def _kernel_blocks(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):
     block when there is no such lattice.
     """
     plan = _row_lattice(layout, mesh)
-    edges = mesh.edges
-    counts = np.diff(edges)
+    counts = np.diff(mesh.edges)
     if plan is not None:
-        num, den, e, step, m_lo, k_len = plan
+        c, e, step, k_len = plan
         k_start = np.concatenate(([0], np.cumsum(k_len)))
         unit = ArrayLayout(1, layout.ies, np.ones(1))
-    cuts = np.flatnonzero(np.diff(edges[:-1] * layout.n_elements // _BLOCK_PAIRS)) + 1
+    cuts = np.flatnonzero(np.diff(mesh.edges[:-1] * layout.n_elements // _BLOCK_PAIRS)) + 1
     for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, counts.size]):
-        pts = slice(edges[r0], edges[r1])
+        pts = slice(mesh.edges[r0], mesh.edges[r1])
         if plan is None:
             yield pts, None
             continue
-        # the block's kernel samples, row after row: row r's sample j is at m_lo[r] + j
+        # the block's kernel samples, row after row: row r's sample j is at offset j
         rows = slice(r0, r1)
-        m = np.arange(k_start[r0], k_start[r1]) - np.repeat(k_start[rows] - m_lo[rows],
-                                                            k_len[rows])
+        m = np.arange(k_start[r0], k_start[r1]) - np.repeat(k_start[rows], k_len[rows])
         kernel = field_at_points(unit, wave, np.column_stack(
             [m * step, np.repeat(mesh.row_y[rows], k_len[rows])]))
-        idx = np.abs(mesh.lattice(r0, r1)[1][:, None] * num // den - e[None, :])
-        idx += np.repeat(k_start[rows] - k_start[r0] - m_lo[rows], counts[rows])[:, None]
+        idx = np.abs(mesh.lattice(r0, r1)[1][:, None] * c - e[None, :])
+        idx += np.repeat(k_start[rows] - k_start[r0], counts[rows])[:, None]
         yield pts, kernel[idx]
 
 
 def _row_lattice(layout: ArrayLayout, mesh: TestZoneMesh):
     """The points and elements on one common x-lattice of step ``step``.
 
-    Returns (num, den, e, step, m_lo, k_len): the point at x = a * pitch
-    sits at a * num // den steps, element i at e[i] steps, and row r's
-    kernel covers the offsets m_lo[r] .. m_lo[r] + k_len[r] - 1 (in
-    steps). None when no such lattice exists, a row lies on the array
+    Returns (c, e, step, k_len): the point at x = a * pitch sits at a * c
+    steps, element i at e[i] steps, and row r's kernel covers the offsets
+    0 .. k_len[r] - 1 (in steps), out to the row's farthest point from an
+    element. None when no such lattice exists, a row lies on the array
     line, or the kernels would be no shorter than the (point, element)
     pairs.
     """
@@ -226,20 +224,14 @@ def _row_lattice(layout: ArrayLayout, mesh: TestZoneMesh):
     p, q = Fraction(ratio).limit_denominator(_MAX_DENOMINATOR).as_integer_ratio()
     if abs(ratio - p / q) > _LATTICE_RTOL * ratio:
         return None
-    # in units of pitch / (2Q): points at 2Q * a, elements at (2i - N + 1) * P; the
-    # gcd of a row's points is that of its first one and, if it has one, its second
-    a_lo, a_hi = 2 * q * mesh.row_lo, 2 * q * mesh.row_hi
+    # in units of pitch / (2Q): points at 2Q * a, elements at (2i - N + 1) * P
     e = (2 * np.arange(layout.n_elements, dtype=np.int64) - (layout.n_elements - 1)) * p
-    g = max(int(np.gcd.reduce(np.concatenate([a_lo, np.minimum(a_lo + 2 * q, a_hi), e]))), 1)
-    e = e // g
-    # each row's signed offsets a - e span [lo, hi]; its kernel covers |lo..hi|
-    lo = a_lo // g - e.max()
-    hi = a_hi // g - e.min()
-    m_lo = np.where((lo <= 0) & (hi >= 0), 0, np.minimum(np.abs(lo), np.abs(hi)))
-    k_len = np.maximum(np.abs(lo), np.abs(hi)) - m_lo + 1
+    g = int(np.gcd.reduce(e, initial=2 * q))
+    c, e = 2 * q // g, e // g
+    k_len = np.maximum(np.abs(mesh.row_lo * c - e.max()), np.abs(mesh.row_hi * c - e.min())) + 1
     if k_len.sum() >= mesh.n_points * e.size:
         return None
-    return 2 * q, g, e, g * mesh.pitch / (2 * q), m_lo, k_len
+    return c, e, g * mesh.pitch / (2 * q), k_len
 
 
 def _row_ranges(phases: np.ndarray, starts) -> np.ndarray:

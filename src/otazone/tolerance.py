@@ -165,23 +165,19 @@ def level_fom_batch(contrib: np.ndarray, mesh: TestZoneMesh,
 def _failing_level_counts(contrib, mesh, eps, cfg) -> Optional[np.ndarray]:
     """Per-FoM violation counts over the realizations (rows of ``eps``) of a failing level.
 
-    None as soon as the level can no longer fail. The rows go to
-    ``level_fom_batch`` in strides of n - need_fail + 1, each row once:
-    the whole level under "any", and under "majority" a first stride after
-    which a level with no failure can no longer fail.
+    None if the level passes. ``level_fom_batch`` scores the first
+    n - need_fail + 1 rows, the whole level under "any"; under "majority"
+    it scores the rest only if those held a violation, since without one
+    the level can no longer fail. Each row is scored at most once.
     """
     n = len(eps)
     need_fail = 1 if cfg.fail_rule == "any" else (n + 1) // 2
     stride = n - need_fail + 1
-    counts = np.zeros(len(FOM_ORDER), dtype=int)
-    failures = 0
-    for start in range(0, n, stride):
-        if failures + n - start < need_fail:
-            return None
-        viol = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps[start:start + stride]))
-        counts += viol.sum(axis=1)
-        failures += int(viol.any(axis=0).sum())
-    return counts if failures >= need_fail else None
+    viol = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps[:stride]))
+    if stride < n and viol.any():
+        viol = np.hstack([viol, cfg.limits.violations(*level_fom_batch(contrib, mesh,
+                                                                       eps[stride:]))])
+    return viol.sum(axis=1) if viol.any(axis=0).sum() >= need_fail else None
 
 
 def _contrib(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh) -> np.ndarray:

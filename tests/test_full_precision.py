@@ -9,12 +9,13 @@ bits. ``tests/data/full_precision.json`` holds, written with ``repr``
   the tolerance search and (seed, geometry, angle, sigma index, iteration)
   for the study. These are compared with ``==``.
 - ``field_over_mesh`` on half-row, one-row and asymmetric meshes and at an
-  IES off the mesh lattice, the ``evaluate_fom`` triples of two standard
-  geometries, and the per-realization FoM triples of every level of a
-  tolerance search with n_mc = 40, a level that ``level_fom_batch``
-  scores in two chunks of 20 (at most 32 rows each). These go through
-  BLAS, which may round differently on another host, so they are
-  compared to a relative 1e-11.
+  IES off the mesh lattice, and at each row's first, middle (x = 0) and
+  last point of the standard 99 lambda / 8 zone at two geometries, the
+  ``evaluate_fom`` triples of two standard geometries, and the
+  per-realization FoM triples of every level of a tolerance search with
+  n_mc = 40, a level that ``level_fom_batch`` scores in two chunks of 20
+  (at most 32 rows each). These go through BLAS, which may round
+  differently on another host, so they are compared to a relative 1e-11.
 
 Regenerate the file only for an intended output change, with
 ``python tests/test_full_precision.py``, and say why.
@@ -53,6 +54,8 @@ MESHES = {
                                      [8, 30, 16])),
     "off_lattice": (1 / np.sqrt(2), build_mesh(TestZoneSpec(300.0, 2.0, 1 / 4))),
 }
+# (ies, D) in wavelengths of the standard-zone fields
+STANDARD_ZONE = ((0.7, 591.0), (1.0, 469.0))
 # tolerance search: three levels of 40 realizations at (0.7 lambda, 591 lambda) on a 2 lambda zone
 SEARCH = dict(n_mc=40, step_db=0.5, max_sigma_db=1.5, rng_seed=0)
 
@@ -76,6 +79,17 @@ def mesh_field(name):
     ies, mesh = MESHES[name]
     mesh = TestZoneMesh(mesh.pitch * lam, mesh.row_y * lam, mesh.row_lo, mesh.row_hi)
     values = field_over_mesh(ChamberSpec().layout(ies * lam), wave, mesh)
+    return {"real": values.real.tolist(), "imag": values.imag.tolist()}
+
+
+def standard_zone_field(ies, d):
+    """Each row's first, middle (x = 0) and last point, shape (rows, 3)."""
+    wave = WaveSpec()
+    lam = wave.wavelength
+    mesh = build_mesh(ChamberSpec().zone(wave, d * lam))
+    first = mesh.edges[:-1]
+    values = field_over_mesh(ChamberSpec().layout(ies * lam), wave, mesh)[
+        np.column_stack([first, first - mesh.row_lo, mesh.edges[1:] - 1])]
     return {"real": values.real.tolist(), "imag": values.imag.tolist()}
 
 
@@ -112,7 +126,8 @@ def search_level_triples():
 def current():
     return {"study": study_rates(), **{name: draw_rows(name) for name in DRAWS},
             "field_over_mesh": {name: mesh_field(name) for name in MESHES},
-            "evaluate_fom": fom_triples(), "tolerance_levels": search_level_triples()}
+            "evaluate_fom": fom_triples(), "tolerance_levels": search_level_triples(),
+            "standard_zone": [standard_zone_field(ies, d) for ies, d in STANDARD_ZONE]}
 
 
 def test_study_rates_bit_exact():
@@ -132,6 +147,15 @@ def test_mesh_fields_full_precision():
         np.testing.assert_allclose(np.array(got["real"]) + 1j * np.array(got["imag"]),
                                    np.array(want["real"]) + 1j * np.array(want["imag"]),
                                    rtol=RTOL, atol=0, err_msg=name)
+
+
+def test_standard_zone_full_precision():
+    stored = json.loads(DATA.read_text())["standard_zone"]
+    for (ies, d), want in zip(STANDARD_ZONE, stored, strict=True):
+        got = standard_zone_field(ies, d)
+        np.testing.assert_allclose(np.array(got["real"]) + 1j * np.array(got["imag"]),
+                                   np.array(want["real"]) + 1j * np.array(want["imag"]),
+                                   rtol=RTOL, atol=0, err_msg=f"{ies}, {d}")
 
 
 def test_fom_triples_full_precision():
@@ -154,6 +178,8 @@ def test_stored_values_are_nontrivial():
     for name, (_, mesh) in MESHES.items():
         assert np.shape(stored["field_over_mesh"][name]["real"]) == (mesh.n_points,)
     assert np.shape(stored["evaluate_fom"]) == (len(STUDY_GEOMETRIES), 3)
+    # 199 rows of the standard zone, 3 points each
+    assert np.shape([z["real"] for z in stored["standard_zone"]]) == (len(STANDARD_ZONE), 199, 3)
     # 40 realizations per level: two chunks of 20
     levels = round(SEARCH["max_sigma_db"] / SEARCH["step_db"])
     assert np.shape(stored["tolerance_levels"]) == (levels, SEARCH["n_mc"], 3)

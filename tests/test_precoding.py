@@ -213,6 +213,17 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             StudyConfig(n_mc=0)
 
+    @pytest.mark.parametrize("snr_db, want", [(np.array([0.0, 10.0]), (0.0, 10.0)),
+                                              (np.array([]), None)], ids=["array", "empty"])
+    def test_config_takes_array_axes(self, snr_db, want):
+        if want is None:
+            with pytest.raises(ValueError, match="non-empty"):
+                StudyConfig(snr_db=snr_db)
+        else:
+            axis = StudyConfig(snr_db=snr_db).snr_db
+            assert axis == want and type(axis) is tuple
+            assert all(type(x) is float for x in axis)
+
     def test_point_count_and_coordinates(self, small_study, lam):
         cfg, pts = small_study
         assert len(pts) == 2 * 2 * 2 * 2  # angles x sigmas x precoders x snrs

@@ -402,7 +402,10 @@ class TestFieldOverMeshLattice:
                               tz_radius_lambda=48 * pitch_lambda, mesh_pitch_lambda=pitch_lambda)
         layout = chamber.layout(ies_lambda * lam)
         zone = build_mesh(chamber.zone(wave, 300 * lam))
-        for mesh in (zone, half_rows(zone), one_row(zone)):
+        # the zone moved wholly past the array's end, x > (N - 1) * IES / 2
+        past = int(np.ceil((n_elements - 1) * ies_lambda / (2 * pitch_lambda))) + 49
+        beyond = TestZoneMesh(zone.pitch, zone.row_y, zone.row_lo + past, zone.row_hi + past)
+        for mesh in (zone, half_rows(zone), one_row(zone), beyond):
             want = field_at_points(layout, wave, mesh.points)
             pairs_synthesized.clear()
             got = field_over_mesh(layout, wave, mesh)
@@ -463,14 +466,20 @@ class TestFieldOverMeshLattice:
         assert sum(pairs_synthesized) == on_line.n_points * 100
         assert np.array_equal(got, field_at_points(layout, wave, on_line.points))
 
-    @pytest.mark.parametrize("case", ["ies_off_lattice", "kernel_too_long"])
+    @pytest.mark.parametrize("case", ["ies_off_lattice", "kernel_too_long",
+                                      "single_point_column"])
     def test_fallback_is_direct_synthesis(self, wave, lam, pairs_synthesized, case):
         ies = lam / np.sqrt(2) if case == "ies_off_lattice" else 0.7 * lam
-        layout = ChamberSpec().layout(ies)
+        # an odd element count puts an element at x = 0
+        chamber = (ChamberSpec(n_elements=41, taper_edge=10) if case == "single_point_column"
+                   else ChamberSpec())
+        layout = chamber.layout(ies)
         mesh = build_mesh(TestZoneSpec(300 * lam, 2 * lam, lam / 8))
         if case == "kernel_too_long":
             mesh = TestZoneMesh(mesh.pitch, mesh.row_y[:1], mesh.row_lo[:1], mesh.row_lo[:1])
+        elif case == "single_point_column":  # each row's kernel reaches an array end
+            mesh = TestZoneMesh(mesh.pitch, mesh.row_y, 0, 0)
         got = field_over_mesh(layout, wave, mesh)
         # the rows go in blocks, so the pairs may be synthesized over several calls
-        assert sum(pairs_synthesized) == mesh.n_points * 100
+        assert sum(pairs_synthesized) == mesh.n_points * layout.n_elements
         assert np.array_equal(got, field_at_points(layout, wave, mesh.points))
