@@ -128,12 +128,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with (open(args.output, "w", newline="") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:
             out.write(buf.getvalue())
+    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
+        # ahead of the ValueError clause: numpy's LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, Optional, Tuple
@@ -88,7 +88,8 @@ class RunConfig:
 
 def _is_number(x: object, integer: bool) -> bool:
     kinds = int if integer else (int, float)
-    return isinstance(x, kinds) and not isinstance(x, bool) and math.isfinite(x)
+    # not math.isfinite, which raises OverflowError for an int past float range
+    return isinstance(x, kinds) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _check_types(cfg: Dict[str, object]) -> None:

@@ -179,7 +179,8 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
     are keyed by (seed, geometry, angle, sigma index, iteration), so the
     surface is thread-count independent and the same error draws are
     shared between precoders (paired comparison, lower variance on
-    MF-vs-ZF differences). The noise floor uses the nominal combiner
+    MF-vs-ZF differences). A zero sigma is one error-free realization,
+    iteration 0 alone. The noise floor uses the nominal combiner
     norms; errors distort only the signal and interference gains.
     """
     results: List[SumRatePoint] = []
@@ -192,13 +193,9 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
             weights = {prec: combiner(h) for prec, combiner in COMBINERS.items()}
             noise_norms = {prec: np.sum(np.abs(w) ** 2, axis=0) for prec, w in weights.items()}
             for si, sigma in enumerate(cfg.sigma_dut_db):
-                n_dut = cfg.dut.n_elements
-                if sigma == 0.0:
-                    eps_batch = np.zeros((1, n_dut, 2), dtype=complex)
-                else:
-                    keys = [(cfg.rng_seed, gi, ai, si, it) for it in range(cfg.n_mc)]
-                    eps_batch = draw_errors(ExcitationErrorModel(sigma), 2 * n_dut,
-                                            keys).reshape(cfg.n_mc, n_dut, 2)
+                keys = [(cfg.rng_seed, gi, ai, si, it) for it in range(cfg.n_mc if sigma else 1)]
+                eps_batch = draw_errors(ExcitationErrorModel(sigma), 2 * cfg.dut.n_elements,
+                                        keys).reshape(len(keys), -1, 2)
                 for prec, w in weights.items():
                     per_snr = sinr(h, (1.0 + eps_batch) * w[None, :, :], cfg.snr_db,
                                    noise_norms[prec])

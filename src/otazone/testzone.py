@@ -251,20 +251,6 @@ def _worst_row_range(phases: np.ndarray, starts) -> np.ndarray:
     return np.minimum(np.minimum(r1, _row_ranges(phases, starts)), 180.0).max(axis=-1)
 
 
-def circular_range_deg(phases_deg: np.ndarray) -> float:
-    """Wrap-correct phase spread: the shortest arc holding every phase, capped at 180.
-
-    A row with phases {359, 2} spans 3 degrees, not 357; spreads beyond
-    180 degrees are clamped since that is the largest deviation that can
-    physically occur.
-    """
-    phases = np.ravel(np.asarray(phases_deg, dtype=float))
-    if phases.size == 0:
-        raise ValueError("empty phase row")
-    phases = phases - 360.0 * np.round(phases / 360.0)  # into [-180, 180] like arctan2
-    return float(_worst_row_range(phases, [0]))
-
-
 @dataclass(frozen=True)
 class FomLimits:
     """Acceptance thresholds for the three figures of merit."""

@@ -202,10 +202,11 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     """Largest error deviation (dB) the geometry tolerates at every FoM.
 
     ``chamber`` gives the array at spacing ``ies`` and the test zone at
-    ``distance``. Level 0 is one error-free realization; level k > 0 runs
-    ``n_mc`` fresh ones at k steps. Each level fails per ``cfg.fail_rule``.
-    Realization streams are keyed by (seed, level, realization), so results
-    do not depend on evaluation order, chunking or thread count.
+    ``distance``. Level 0 is one error-free realization, keyed (seed, 0, 0);
+    level k > 0 runs ``n_mc`` fresh ones at k steps. Each level fails per
+    ``cfg.fail_rule``. Realization streams are keyed by (seed, level,
+    realization), so results do not depend on evaluation order, chunking or
+    thread count.
 
     Returns the last passing level and the failing FoM attributed by
     majority vote over the violating realizations at the failing level
@@ -220,9 +221,8 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
         sigma_db = level * cfg.step_db
         if sigma_db > cfg.max_sigma_db + 1e-12:
             return ToleranceResult((level - 1) * cfg.step_db, None, None)
-        keys = [(cfg.rng_seed, level, r) for r in range(cfg.n_mc)]
-        eps = (draw_errors(ExcitationErrorModel(sigma_db), layout.n_elements, keys) if level
-               else np.zeros((1, layout.n_elements), dtype=complex))
+        keys = [(cfg.rng_seed, level, r) for r in range(cfg.n_mc if level else 1)]
+        eps = draw_errors(ExcitationErrorModel(sigma_db), layout.n_elements, keys)
         counts = _failing_level_counts(contrib, mesh, eps, cfg)
         if counts is not None:
             failing = FOM_ORDER[int(np.argmax(counts))]

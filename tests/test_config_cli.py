@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otazone import (ChamberSpec, ConfigError, DutArraySpec, ExcitationErrorModel, FomLimits,
-                     StudyConfig, ToleranceSearchConfig, alpha_min_deg, load_config, sum_rate)
+from otazone import (ArrayLayout, ChamberSpec, ConfigError, DutArraySpec, ExcitationErrorModel,
+                     FomLimits, StudyConfig, SweepGrid, TestZoneSpec, ToleranceSearchConfig,
+                     alpha_min_deg, load_config, sum_rate)
 from otazone.cli import main
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 
@@ -83,6 +84,7 @@ class TestLoadConfig:
         {"sigma_dut_db": []},
         {"alpha_offsets_deg": []},
         {"geometries_lambda": []},
+        {"d_step_lambda": 0.0},
     ])
     def test_invalid_values_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -149,6 +151,20 @@ def test_library_rejects_nan_and_inf(make):
         make()
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: ArrayLayout(0, 1.0, np.ones(0)), "n_elements must be >= 1"),
+    (lambda: ArrayLayout(3, 1.0, np.ones(2)), "taper must have shape"),
+    (lambda: ChamberSpec(n_elements=0), "n_elements must be >= 1"),
+    (lambda: TestZoneSpec(10.0, 1.0, 0.0), "pitch must be positive"),
+    (lambda: SweepGrid((0.0,), (1.0,)), "ies values must be positive"),
+    (lambda: StudyConfig(rng_seed=-1), "rng_seed must be >= 0"),  # the config's seed check is first
+], ids=["layout_n_elements", "layout_taper_shape", "chamber_n_elements", "zone_pitch",
+        "sweep_ies", "study_seed"])
+def test_library_rejects_out_of_range(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def run_cli(tmp_path, argv, name="out.csv", config=None):
     args = []
     if config is not None:
@@ -193,6 +209,11 @@ class TestCliFom:
         ({"d_range_lambda": [2450.0, 40.0]}, "d_range_lambda must be [lo, hi] with lo <= hi"),
         ({"sigma_step_db": 0.0}, "sigma_step_db=0.0"),
         ({"frequency_hz": 1e-300}, "frequency_hz="),  # its wavelength overflows to inf
+        # JSON integers past float range
+        ({"seed": 10 ** 400}, "seed must be an integer"),
+        ({"frequency_hz": 10 ** 400}, "frequency_hz must be a finite number"),
+        ({"snr_db": [0.0, 10 ** 400]}, "snr_db must be a list of finite numbers"),
+        ({"geometries_lambda": [[0.7, 10 ** 400]]}, "geometries_lambda must be"),
     ])
     def test_bad_value_exits_with_message(self, tmp_path, capsys, config, message):
         with warnings.catch_warnings(record=True) as caught:
@@ -323,6 +344,15 @@ class TestCliPrecode:
         _, a = run_cli(tmp_path, ["precode"], name="a.csv", config=self.CFG)
         _, b = run_cli(tmp_path, ["precode"], name="b.csv", config=self.CFG)
         assert a == b
+
+    def test_collinear_channel_exits_2(self, tmp_path, capsys):
+        # an offset of -alpha_min puts the interferer on the main array: ZF is singular
+        cfg = {**self.CFG, "alpha_offsets_deg": [-alpha_min_deg(99 * 0.7, 591.0)]}
+        (tmp_path / "keep.csv").write_bytes(b"# an earlier run\n1,2,3\n")
+        code, data = run_cli(tmp_path, ["precode"], name="keep.csv", config=cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert data == b"# an earlier run\n1,2,3\n"
 
 
 class TestChamberKeys:

@@ -1,4 +1,5 @@
-"""Every library module uses what it imports and reads no other module's private names.
+"""Every library module uses what it imports and reads no other module's private names,
+and every public name a module defines is used by the library or a demo.
 
 ``src/otazone/__init__.py`` only re-exports, so it is left out. No module
 is imported or run; each is parsed with ``ast``.
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "otazone").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "otazone").glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # (importing module, imported module, private name): why the import is allowed
 PRIVATE_ALLOWED = {
     ("tolerance", "testzone", "_kernel_blocks"):
@@ -57,3 +59,30 @@ def test_every_allowed_private_import_is_still_made():
     made = {(p.stem, module.split(".")[-1], name) for p in MODULES
             for _, module, name in imports(parse(p))}
     assert set(PRIVATE_ALLOWED) <= made
+
+
+def public_names(tree):
+    """Names a module binds at top level by def, class or assignment, less the private ones."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def test_every_public_name_is_used():
+    used = set()
+    for path in MODULES + DEMOS:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert len(DEMOS) >= 4
+    unused = sorted(f"{p.stem}.{name}" for p in MODULES for name in public_names(parse(p))
+                    if name not in used)
+    assert not unused, f"defined but used by no library module or demo: {unused}"

@@ -4,6 +4,7 @@ import pytest
 from otazone import (DutArraySpec, ExcitationErrorModel, StudyConfig, alpha_min_deg,
                      build_channel, ChamberSpec, draw_errors, mf_weights,
                      run_study, sinr, sum_rate, zf_weights)
+from otazone import precoding
 
 from oracles import sinr_symbol_oracle, zf_oracle
 
@@ -265,6 +266,22 @@ class TestRunStudy:
               if p.sigma_dut_db == 0.0
               and abs(p.alpha_deg - min(q.alpha_deg for q in pts)) < 1e-9}
         assert by[("ZF", 10.0)] > by[("MF", 10.0)]
+
+    def test_one_draw_per_cell(self, wave, lam, monkeypatch):
+        # a zero sigma draws the one key of iteration 0, every other sigma n_mc keys
+        calls = []
+
+        def recording(model, n, keys):
+            calls.append((model.sigma_db, n, list(keys)))
+            return draw_errors(model, n, keys)
+
+        monkeypatch.setattr(precoding, "draw_errors", recording)
+        cfg = StudyConfig(snr_db=(10.0,), sigma_dut_db=(0.5, 0.0), alpha_offsets_deg=(0.0, 15.0),
+                          n_mc=3, rng_seed=7)
+        run_study([(0.7 * lam, 591 * lam), (1.0 * lam, 469 * lam)], wave, cfg)
+        assert calls == [(sigma, 98, [(7, gi, ai, si, it) for it in range(3 if sigma else 1)])
+                         for gi in range(2) for ai in range(2)
+                         for si, sigma in enumerate(cfg.sigma_dut_db)]
 
     def test_streams_keyed_by_seed_geometry_angle_sigma_iteration(self, wave, lam):
         # one cell recomputed from its own streams, drawn here directly

@@ -322,9 +322,13 @@ class TestToleranceSearch:
             batches.append(eps.copy())
             return level_fom_batch(contrib, mesh, eps)
 
+        def drawing(model, n, keys):
+            draws.append((model.sigma_db, n, list(keys)))
+            return draw_errors(model, n, keys)
+
         monkeypatch.setattr(tolerance, "level_fom_batch", recording)
-        monkeypatch.setattr(tolerance, "draw_errors", lambda *args: draws.append(args))
-        cfg = ToleranceSearchConfig(n_mc=n_mc, fail_rule=fail_rule)
+        monkeypatch.setattr(tolerance, "draw_errors", drawing)
+        cfg = ToleranceSearchConfig(n_mc=n_mc, fail_rule=fail_rule, rng_seed=5)
         res = tolerance_search(0.5 * lam, 40 * lam, wave, cfg)
         assert res.tolerated_sigma_db == 0.0
         assert res.failing_sigma_db == 0.0
@@ -332,7 +336,7 @@ class TestToleranceSearch:
         report = evaluate_fom(chamber.layout(0.5 * lam), wave, chamber.zone(wave, 40 * lam), TIER1)
         assert res.first_failing_fom == report.failing_foms[0]
         assert len(batches) == 1 and batches[0].shape == (1, 100) and not batches[0].any()
-        assert draws == []
+        assert draws == [(0.0, 100, [(5, 0, 0)])]
 
     def test_exceeds_cap_with_loose_limits(self, wave, lam):
         cfg = ToleranceSearchConfig(n_mc=2, max_sigma_db=0.05,
@@ -423,8 +427,9 @@ class TestToleranceSearch:
                                     limits=FomLimits(0.05, 0.2, 2.0))
         res = tolerance_search(0.7 * lam, 591 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
         levels = round(res.failing_sigma_db / cfg.step_db)
-        assert len(calls) == levels
-        for level, (sigma_db, n, keys) in enumerate(calls, start=1):
+        assert len(calls) == levels + 1
+        assert calls[0] == (0.0, 100, [(cfg.rng_seed, 0, 0)])  # level 0: one error-free row
+        for level, (sigma_db, n, keys) in enumerate(calls[1:], start=1):
             assert sigma_db == level * cfg.step_db and n == 100
             assert keys == [(cfg.rng_seed, level, r) for r in range(cfg.n_mc)]
 
