@@ -117,7 +117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(path=args.config)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     # the CSV is rendered in full before the output is opened, so a failed run
@@ -132,7 +132,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # ahead of the ValueError clause: numpy's LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -9,6 +9,7 @@ distorted by complex Gaussian errors, and scored by the sum rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -17,6 +18,9 @@ import numpy as np
 from .field import ArrayLayout, WaveSpec, field_at_points
 from .testzone import ChamberSpec
 from .tolerance import ExcitationErrorModel, draw_errors
+
+# 10 * log10(DBL_MAX): from here on the linear SNR 10^(snr_db/10) overflows
+_MAX_SNR_DB = 10.0 * math.log10(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -155,8 +159,10 @@ class StudyConfig:
         if not all(map(len, axes)) or not np.isfinite(np.concatenate(axes)).all():
             raise ValueError("snr_db, sigma_dut_db and alpha_offsets_deg must be non-empty "
                              "and finite")
-        if any(s < 0 for s in self.sigma_dut_db):
-            raise ValueError("sigma_dut_db values must be >= 0")
+        if not all(s < _MAX_SNR_DB for s in self.snr_db):
+            raise ValueError(f"snr_db values must be below {_MAX_SNR_DB:.2f} dB")
+        for sigma in self.sigma_dut_db:
+            ExcitationErrorModel(sigma)  # its range check: >= 0, linear scale finite
 
 
 @dataclass(frozen=True)

@@ -71,31 +71,17 @@ class ComplianceMap:
 
 @contextmanager
 def _cell_errors(ies: float, d: float) -> Iterator[None]:
-    """Attach a cell's coordinates to a failure: a ValueError stays one, the rest is RuntimeError."""
+    """Attach a cell's coordinates to a failure.
+
+    A ValueError stays one, a MemoryError passes through as it is, the rest is RuntimeError.
+    """
     try:
         yield
+    except MemoryError:
+        raise
     except Exception as exc:
         kind = ValueError if isinstance(exc, ValueError) else RuntimeError
         raise kind(f"sweep cell (ies={ies}, d={d}) failed: {exc}") from exc
-
-
-def _row_groups(d_values: Tuple[float, ...], pitch: float) -> List[List[Tuple[int, int]]]:
-    """Split the D axis into groups of zones whose mesh rows coincide.
-
-    A group lists (index into d_values, k) with d = d0 + k * pitch for
-    its first distance d0, so k starts at 0 and increases. A distance off
-    every group's lattice starts a group of its own.
-    """
-    groups: List[List[Tuple[int, int]]] = []
-    for j, d in enumerate(d_values):
-        for group in groups:
-            k = (d - d_values[group[0][0]]) / pitch
-            if abs(k - round(k)) <= 1e-9:
-                group.append((j, round(k)))
-                break
-        else:
-            groups.append([(j, 0)])
-    return groups
 
 
 def run_sweep(grid: SweepGrid, wave: WaveSpec,
@@ -106,14 +92,16 @@ def run_sweep(grid: SweepGrid, wave: WaveSpec,
     field is computed with zero excitation errors, so the map is
     deterministic. A failure inside any cell aborts the sweep with the
     offending coordinates attached: a ValueError (bad input, such as a
-    zone that crosses the array line) stays a ValueError, anything else
-    becomes a RuntimeError.
+    zone that crosses the array line) stays a ValueError, a MemoryError
+    stays a MemoryError, anything else becomes a RuntimeError.
 
     The zone's mesh differs from D to D only by a shift in y, so one mesh
     serves every cell. Zones whose D differ by whole mesh pitches share
-    their rows: per IES, the field of such a group is computed once over
-    the union of its rows, each from x = 0 to the widest half-row any of
-    its zones needs there. The error-free field is mirror-symmetric in x
+    their rows and form a row group; the groups go one at a time. A
+    group's strip is the union of its zones' rows, each from x = 0 to the
+    widest half-row any of its zones needs there; per IES its field is
+    computed once over the strip and every zone of the group reads its
+    cells from it. The error-free field is mirror-symmetric in x
     (symmetric positions and taper), so a point at -x reads the field at x.
     """
     grid.validate_cap(wave, chamber.n_elements)
@@ -127,35 +115,43 @@ def run_sweep(grid: SweepGrid, wave: WaveSpec,
     row, a = mesh.lattice()
     a = np.abs(a)
     n_rows = mesh.row_y.size
+    d_values, n_d = grid.d_values, len(grid.d_values)
+    layouts = [chamber.layout(ies) for ies in grid.ies_values]
 
-    strips = []  # per row group: its cells, its mesh and each strip row's first point
-    for group in _row_groups(grid.d_values, pitch):
+    # row groups: (index into d_values, k) with d = d0 + k * pitch for the group's
+    # first distance d0, so k starts at 0 and increases; a distance off every
+    # group's lattice starts a group of its own
+    groups: List[List[Tuple[int, int]]] = []
+    for j, d in enumerate(d_values):
+        for group in groups:
+            k = (d - d_values[group[0][0]]) / pitch
+            if abs(k - round(k)) <= 1e-9:
+                group.append((j, round(k)))
+                break
+        else:
+            groups.append([(j, 0)])
+
+    cells: List[SweepCell] = [None] * (len(layouts) * n_d)
+    for group in groups:
         # strip row r holds row r - k of the group's zone at d0 + k * pitch
         widths = np.full(group[-1][1] + n_rows, -1)
         for _, k in group:
             widths[k:k + n_rows] = np.maximum(widths[k:k + n_rows], mesh.row_hi)
-        d0 = grid.d_values[group[0][0]]
-        row_y = d0 + (np.arange(widths.size) - n_rows // 2) * pitch
+        row_y = d_values[group[0][0]] + (np.arange(widths.size) - n_rows // 2) * pitch
         keep = widths >= 0  # a row no zone of the group reaches has no points
+        # binding it releases the previous group's strip, with the points it cached
         strip = TestZoneMesh(pitch, row_y[keep], 0, widths[keep])
-        strips.append((group, strip, strip.edges[np.cumsum(keep) - 1]))
-
-    cells: List[SweepCell] = []
-    for ies in grid.ies_values:
-        layout = chamber.layout(ies)
-        by_d: List[SweepCell] = [None] * len(grid.d_values)
-        for group, strip, row_start in strips:
-            with _cell_errors(ies, grid.d_values[group[0][0]]):
+        row_start = strip.edges[np.cumsum(keep) - 1]  # each strip row's first point
+        for i, (ies, layout) in enumerate(zip(grid.ies_values, layouts)):
+            with _cell_errors(ies, d_values[group[0][0]]):
                 field = field_over_mesh(layout, wave, strip)
             for j, k in group:
-                with _cell_errors(ies, grid.d_values[j]):
+                with _cell_errors(ies, d_values[j]):
                     rm, sm, rp = fom_values(mesh, field[row_start[k + row] + a])
                 reports = tuple(FomReport.from_values(rm, sm, rp, tier) for tier in TIERS)
-                by_d[j] = SweepCell(ies, grid.d_values[j], layout.length, rm, sm, rp, reports)
-            # drop this strip's field before the next one is synthesized, so that
-            # two strip fields never coexist
-            del field
-        cells.extend(by_d)
+                cells[i * n_d + j] = SweepCell(ies, d_values[j], layout.length, rm, sm, rp,
+                                               reports)
+            del field  # not held while the next field is synthesized
     return ComplianceMap(grid=grid, cells=tuple(cells))
 
 

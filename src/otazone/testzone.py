@@ -213,18 +213,22 @@ def _row_lattice(layout: ArrayLayout, mesh: TestZoneMesh):
     steps, element i at e[i] steps, and row r's kernel covers the offsets
     0 .. k_len[r] - 1 (in steps), out to the row's farthest point from an
     element. None when no such lattice exists, a row lies on the array
-    line, or the kernels would be no shorter than the (point, element)
-    pairs.
+    line, the kernels would be no shorter than the (point, element)
+    pairs, or an offset would overflow int64.
     """
-    if np.any(mesh.row_y == 0.0):
-        return None
     ratio = layout.ies / mesh.pitch
+    if np.any(mesh.row_y == 0.0) or not np.isfinite(ratio):
+        return None
     # Two fractions with Q <= 1000 differ by at least 1e-6, so below a ratio of 5e5
     # at most one lies within _LATTICE_RTOL * ratio, and that one is the nearest.
     p, q = Fraction(ratio).limit_denominator(_MAX_DENOMINATOR).as_integer_ratio()
     if abs(ratio - p / q) > _LATTICE_RTOL * ratio:
         return None
-    # in units of pitch / (2Q): points at 2Q * a, elements at (2i - N + 1) * P
+    # in units of pitch / (2Q): points at 2Q * a, elements at (2i - N + 1) * P; every
+    # row's farthest offset, summed over the rows, must fit in int64
+    reach = 2 * q * int(np.abs(np.r_[mesh.row_lo, mesh.row_hi]).max()) + (layout.n_elements - 1) * p
+    if reach * mesh.row_y.size >= 2 ** 63:
+        return None
     e = (2 * np.arange(layout.n_elements, dtype=np.int64) - (layout.n_elements - 1)) * p
     g = int(np.gcd.reduce(e, initial=2 * q))
     c, e = 2 * q // g, e // g

@@ -17,6 +17,7 @@ steps until a level fails; two level-fail rules are available:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -26,6 +27,9 @@ from .field import ArrayLayout, WaveSpec, element_fields
 from .testzone import (FOM_ORDER, ChamberSpec, FomLimits, TIER1, TestZoneMesh, _kernel_blocks,
                        build_mesh, fom_values)
 
+# 20 * log10(DBL_MAX): from here on the linear scale 10^(sigma_db/20) overflows
+_MAX_SIGMA_DB = 20.0 * math.log10(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class ExcitationErrorModel:
@@ -34,8 +38,8 @@ class ExcitationErrorModel:
     sigma_db: float
 
     def __post_init__(self):
-        if not 0 <= self.sigma_db < np.inf:
-            raise ValueError("sigma_db must be >= 0 and finite")
+        if not 0 <= self.sigma_db < _MAX_SIGMA_DB:
+            raise ValueError(f"sigma_db must be >= 0 and below {_MAX_SIGMA_DB:.2f} dB")
 
     @property
     def sigma_linear(self) -> float:
@@ -113,8 +117,9 @@ class ToleranceSearchConfig:
     def __post_init__(self):
         if not 0 < self.step_db < np.inf:
             raise ValueError("step_db must be positive and finite")
-        if not self.step_db <= self.max_sigma_db < np.inf:
-            raise ValueError("max_sigma_db must be finite and at least one step_db")
+        if not self.step_db <= self.max_sigma_db < _MAX_SIGMA_DB:
+            raise ValueError(f"max_sigma_db must be at least one step_db and below "
+                             f"{_MAX_SIGMA_DB:.2f} dB")
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
         if self.rng_seed < 0:

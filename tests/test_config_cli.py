@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,11 +159,30 @@ def test_library_rejects_nan_and_inf(make):
     (lambda: TestZoneSpec(10.0, 1.0, 0.0), "pitch must be positive"),
     (lambda: SweepGrid((0.0,), (1.0,)), "ies values must be positive"),
     (lambda: StudyConfig(rng_seed=-1), "rng_seed must be >= 0"),  # the config's seed check is first
+    # dB values whose linear scale overflows: 10^(x/10) for an SNR, 10^(x/20) for a deviation
+    (lambda: StudyConfig(snr_db=(0.0, 4000.0)), "snr_db values must be below 3082.55 dB"),
+    (lambda: StudyConfig(sigma_dut_db=(0.0, 7000.0)), "sigma_db must be >= 0 and below 6165.09"),
+    (lambda: ExcitationErrorModel(7000.0), "sigma_db must be >= 0 and below 6165.09 dB"),
+    (lambda: ToleranceSearchConfig(max_sigma_db=7000.0), "max_sigma_db must be .* below 6165.09"),
 ], ids=["layout_n_elements", "layout_taper_shape", "chamber_n_elements", "zone_pitch",
-        "sweep_ies", "study_seed"])
+        "sweep_ies", "study_seed", "study_snr", "study_sigma_dut", "error_model", "max_sigma_db"])
 def test_library_rejects_out_of_range(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_db_bounds_sit_at_the_overflow():
+    # just below each bound the linear scale is a finite double; the bound itself overflows
+    sigma_max, snr_max = 20 * math.log10(sys.float_info.max), 10 * math.log10(sys.float_info.max)
+    below = math.nextafter(sigma_max, 0.0)
+    assert np.isfinite(ExcitationErrorModel(below).sigma_linear)
+    StudyConfig(snr_db=(math.nextafter(snr_max, 0.0),), sigma_dut_db=(below,))
+    ToleranceSearchConfig(max_sigma_db=below)
+    with pytest.raises(OverflowError):
+        10.0 ** (sigma_max / 20.0)
+    for make in (lambda: ExcitationErrorModel(sigma_max), lambda: StudyConfig(snr_db=(snr_max,))):
+        with pytest.raises(ValueError, match="below"):
+            make()
 
 
 def run_cli(tmp_path, argv, name="out.csv", config=None):
@@ -214,6 +234,11 @@ class TestCliFom:
         ({"frequency_hz": 10 ** 400}, "frequency_hz must be a finite number"),
         ({"snr_db": [0.0, 10 ** 400]}, "snr_db must be a list of finite numbers"),
         ({"geometries_lambda": [[0.7, 10 ** 400]]}, "geometries_lambda must be"),
+        # dB values whose linear scale overflows a double
+        ({"snr_db": [4000]}, "bad config (snr_db=[4000]"),
+        ({"sigma_dut_db": [0, 7000]}, "sigma_dut_db=[0, 7000]"),
+        ({"sigma_step_db": 7000, "max_sigma_db": 7000}, "max_sigma_db must be at least one "
+                                                        "step_db and below 6165.09 dB"),
     ])
     def test_bad_value_exits_with_message(self, tmp_path, capsys, config, message):
         with warnings.catch_warnings(record=True) as caught:
@@ -225,6 +250,25 @@ class TestCliFom:
         assert message in err
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("config, prefix", [
+        ({"d_step_lambda": 1e-14}, "config error: "),  # a D axis of 1.7 EiB, at load
+        ({"mesh_pitch_lambda": 1e-16}, "error: "),  # a zone mesh of 1.7 EiB, in build_mesh
+    ], ids=["d_axis", "zone_mesh"])
+    def test_allocation_failure_exits_with_message(self, tmp_path, capsys, config, prefix):
+        # sizes past any 64-bit address space, so the allocation fails at once
+        code, _ = run_cli(tmp_path, ["fom", "--ies-lambda", "0.7", "--d-lambda", "591"],
+                          config=config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+    def test_huge_spacing_exits_0(self, tmp_path):
+        # IES / pitch = 8e20: the row-lattice offsets would overflow int64, so the
+        # field is synthesized pair by pair
+        code, data = run_cli(tmp_path, ["fom", "--ies-lambda", "1e20", "--d-lambda", "591"])
+        assert code == 0
+        assert len(data.splitlines()) == 3
 
     @pytest.mark.parametrize("ies, d", [
         ("0.7", "5"),  # D smaller than the zone radius violates the mesh precondition

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from otazone import (TIERS, ComplianceMap, SweepGrid,
                      compact_frontier, load_config, run_sweep)
 from otazone import sweep
 from otazone.sweep import SweepCell
-from otazone.testzone import FomReport, TestZoneSpec, build_mesh, fom_values
+from otazone.testzone import FomReport, TestZoneMesh, TestZoneSpec, build_mesh, fom_values
 from otazone import ChamberSpec, field_at_points
 
 from oracles import compact_frontier_bruteforce
@@ -146,6 +149,15 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match=r"sweep cell \(ies="):
             run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=1.0))
 
+    def test_memory_error_passes_through(self, wave, lam, monkeypatch):
+        def no_memory(mesh, values):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(sweep, "fom_values", no_memory)
+        grid = SweepGrid((0.7 * lam,), (100 * lam,))
+        with pytest.raises(MemoryError, match="^Unable to allocate$"):
+            run_sweep(grid, wave, ChamberSpec(tz_radius_lambda=1.0))
+
 
 def _sweep_cases(rng):
     """(chamber, ies in lambda, D in lambda) sweeps that mix every way zones share rows.
@@ -186,6 +198,44 @@ def test_sweep_matches_per_cell_evaluation(wave, lam):
                 FomReport.from_values(*want, tier).passed for tier in TIERS]
         n_cells += len(cmap.cells)
     assert n_cells >= 200
+
+
+def test_row_groups_go_one_at_a_time(wave, lam, monkeypatch):
+    """Each row group's strip is synthesized once per IES and released before the next."""
+    strips, calls, others, scored = [], [], [], []
+    real_field, real_fom = sweep.field_over_mesh, sweep.fom_values
+
+    def tracked_strip(*args):
+        strip = TestZoneMesh(*args)
+        strips.append(weakref.ref(strip))
+        return strip
+
+    def field(layout, wave, strip):
+        gc.collect()
+        alive = [ref() for ref in strips if ref() is not None]
+        others.append(sum(s is not strip for s in alive))
+        calls.append(([ref() is strip for ref in strips].index(True), layout.ies))
+        del alive
+        return real_field(layout, wave, strip)
+
+    def fom(mesh, values):
+        scored.append(values.size)
+        return real_fom(mesh, values)
+
+    monkeypatch.setattr(sweep, "TestZoneMesh", tracked_strip)
+    monkeypatch.setattr(sweep, "field_over_mesh", field)
+    monkeypatch.setattr(sweep, "fom_values", fom)
+    # row groups {100, 101}, {100.03} and {100.06} lambda; 1/sqrt(2) lambda is off
+    # the lattice, so its strips hold their points
+    ies = (2 ** -0.5 * lam, lam)
+    d = tuple(np.array([100.0, 100.03, 100.06, 101.0]) * lam)
+    cmap = run_sweep(SweepGrid(ies, d), wave, ChamberSpec(tz_radius_lambda=1.0))
+    assert len(strips) == 3
+    assert others == [0] * 6
+    assert calls == [(0, ies[0]), (0, ies[1]), (1, ies[0]), (1, ies[1]), (2, ies[0]),
+                     (2, ies[1])]
+    assert len(scored) == len(cmap.cells) == 8
+    assert [(c.ies, c.d) for c in cmap.cells] == [(i, dj) for i in ies for dj in d]
 
 
 def _synthetic_map(points):

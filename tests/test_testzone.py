@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from otazone import (TIER1, TIER2, TIER3, ChamberSpec, TestZoneMesh, TestZoneSpec,
                      build_mesh, evaluate_fom, field_at_points, field_over_mesh)
-from otazone.testzone import FomLimits, FomReport, fom_values
+from otazone.testzone import FomLimits, FomReport, _row_lattice, fom_values
 
 from oracles import circular_range_bruteforce, field_oracle
 
@@ -435,6 +435,13 @@ class TestFieldOverMeshLattice:
             pairs_synthesized.clear()
             field_over_mesh(ChamberSpec().layout(ies * lam), wave, mesh)
             assert sum(pairs_synthesized) <= mesh.n_points * 100 // 4, ies
+
+    @pytest.mark.parametrize("ies_lambda", [1e16, 1e20, 1e308])
+    def test_no_lattice_past_int64(self, wave, lam, ies_lambda):
+        # IES / pitch = 8e16 (the offsets summed over the rows pass 2**63), 8e20 (P
+        # alone does) and inf: each takes the direct path
+        mesh = build_mesh(ChamberSpec().zone(wave, 591 * lam))
+        assert _row_lattice(ChamberSpec().layout(ies_lambda * lam), mesh) is None
 
     @pytest.mark.parametrize("pitch", [0.0, -1.0, np.inf, np.nan])
     def test_mesh_rejects_bad_pitch(self, pitch):
