@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
+# Coarsest float64 step of k*r (radians) element_fields accepts
+_PHASE_RESOLUTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -105,18 +107,27 @@ def element_fields(layout: ArrayLayout, wave: WaveSpec,
     ``points`` has shape (M, 2); the result has shape (M, n_elements).
     The tolerance search applies excitation errors to this matrix, which it
     builds from the row-lattice kernel where it can, as E = contrib @ (1 + eps).
+    A distance that is not finite, or so large that float64 resolves k*r
+    more coarsely than _PHASE_RESOLUTION, raises ValueError before any
+    phase is taken. Only r, k*r and the result are allocated.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    pos = layout.positions
-    r = np.hypot(points[:, 0, None] - pos[None, :], points[:, 1, None])
-    if np.any(r == 0.0):
+    r = np.subtract(points[:, 0, None], layout.positions[None, :])
+    np.hypot(r, points[:, 1, None], out=r)
+    if r.min(initial=np.inf) == 0.0:
         raise ValueError("evaluation point coincides with an array element")
-    kr = wave.wavenumber * r
-    amp = (layout.taper / (4.0 * np.pi))[None, :] / r
+    # k > 0, so the largest k*r is k times the largest r
+    r_max = float(r.max(initial=0.0))
+    if not np.spacing(wave.wavenumber * r_max) <= _PHASE_RESOLUTION:
+        raise ValueError(f"an element-to-point distance of {r_max:.4g} m leaves float64 less "
+                         f"than 1 microradian of phase resolution")
+    kr = np.multiply(wave.wavenumber, r)
+    amp = np.divide((layout.taper / (4.0 * np.pi))[None, :], r, out=r)
     # real cos/sin beats complex exp by a wide margin at this size
     out = np.empty(r.shape, dtype=complex)
-    out.real = amp * np.cos(kr)
-    out.imag = -amp * np.sin(kr)
+    np.multiply(amp, np.cos(kr, out=out.real), out=out.real)
+    np.multiply(amp, np.sin(kr, out=kr), out=kr)
+    np.negative(kr, out=out.imag)
     return out
 
 

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import ArrayLayout, WaveSpec, field_at_points, make_taper
 
@@ -160,11 +161,12 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
     When IES / pitch is a fraction P/Q, every element-to-point offset is a
     whole multiple of pitch / (2Q), so a row's field is
     sum_i t_i * g(|x_p - x_i|, y) for one kernel g, the field of a single
-    untapered element, sampled at every offset out to the row's reach (see
-    ``_row_lattice``). Otherwise (IES off the lattice, a row on the array
-    line, or a kernel no shorter than the pairs it replaces) every (point,
-    element) pair is synthesized directly. Either way the rows go in blocks
-    of about _BLOCK_PAIRS (point, element) pairs, to bound memory.
+    untapered element, sampled over the offsets each block of rows spans
+    and read through a strided window (see ``_kernel_blocks``). Otherwise
+    (IES off the lattice, a row on the array line, or a kernel no shorter
+    than the pairs it replaces) every (point, element) pair is synthesized
+    directly. Either way the rows go in blocks of about _BLOCK_PAIRS
+    (point, element) pairs, to bound memory.
     """
     out = np.empty(mesh.n_points, dtype=complex)
     for pts, g in _kernel_blocks(layout, wave, mesh):
@@ -172,49 +174,62 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
             out[pts] = field_at_points(layout, wave, mesh.points[pts])
         else:
             out[pts] = g @ layout.taper
-        del g  # not held while the next block is gathered
+        del g  # not held while the next block is read
     return out
 
 
 def _kernel_blocks(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):
     """Yield (points, g) per block of rows of about _BLOCK_PAIRS (point, element) pairs.
 
-    ``points`` is the block's slice of the mesh points and g[p, i] =
-    kernel[m(p, i)] the untapered field of element i at point p, sampled
-    on the row lattice (see ``field_over_mesh``); g is None for every
-    block when there is no such lattice.
+    ``points`` is the block's slice of the mesh points and g[p, i] the
+    untapered field of element i at point p, read from the row-lattice
+    kernel (see ``field_over_mesh``); g is None for every block when there
+    is no such lattice.
+
+    A block samples each of its rows' kernels once, over the offsets its
+    points and elements span. The elements sit d steps apart, so point
+    a's N samples are one strided run of the mirrored kernel: a window
+    read, with no index per (point, element) pair.
     """
     plan = _row_lattice(layout, mesh)
-    counts = np.diff(mesh.edges)
     if plan is not None:
-        c, e, step, k_len = plan
-        k_start = np.concatenate(([0], np.cumsum(k_len)))
+        c, e, step = plan
+        d = int(e[1] - e[0]) if e.size > 1 else 1
+        width = int(e[-1] - e[0]) + 1  # (N - 1) * d + 1 offsets under one point
         unit = ArrayLayout(1, layout.ies, np.ones(1))
     cuts = np.flatnonzero(np.diff(mesh.edges[:-1] * layout.n_elements // _BLOCK_PAIRS)) + 1
-    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, counts.size]):
+    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, mesh.row_y.size]):
         pts = slice(mesh.edges[r0], mesh.edges[r1])
         if plan is None:
             yield pts, None
             continue
-        # the block's kernel samples, row after row: row r's sample j is at offset j
         rows = slice(r0, r1)
-        m = np.arange(k_start[r0], k_start[r1]) - np.repeat(k_start[rows], k_len[rows])
-        kernel = field_at_points(unit, wave, np.column_stack(
-            [m * step, np.repeat(mesh.row_y[rows], k_len[rows])]))
-        idx = np.abs(mesh.lattice(r0, r1)[1][:, None] * c - e[None, :])
-        idx += np.repeat(k_start[rows] - k_start[r0], counts[rows])[:, None]
-        yield pts, kernel[idx]
+        a_lo = int(mesh.row_lo[rows].min())
+        # |m| for every offset m (in steps) from a block point to an element, m_lo to m_hi
+        m = np.abs(np.arange(a_lo * c - e[-1], int(mesh.row_hi[rows].max()) * c - e[0] + 1))
+        k0 = int(m.min())
+        samples = np.empty((r1 - r0, int(m.max()) + 1 - k0, 2))
+        samples[..., 0] = np.arange(k0, k0 + samples.shape[1]) * step
+        samples[..., 1] = mesh.row_y[rows, None]
+        # mirrored[r, j] = row r's kernel at |m_lo + j| steps
+        kernel = field_at_points(unit, wave, samples.reshape(-1, 2))
+        mirrored = kernel.reshape(r1 - r0, -1)[:, m - k0]
+        del samples, kernel  # not held while the block is read
+        # point a's elements: the window from (a - a_lo) * c, element i at i * d from its far end
+        windows = sliding_window_view(mirrored, width, axis=-1)[:, ::c, ::-1][..., ::d]
+        row, a = mesh.lattice(r0, r1)
+        yield pts, windows[row - r0, a - a_lo]
 
 
 def _row_lattice(layout: ArrayLayout, mesh: TestZoneMesh):
     """The points and elements on one common x-lattice of step ``step``.
 
-    Returns (c, e, step, k_len): the point at x = a * pitch sits at a * c
-    steps, element i at e[i] steps, and row r's kernel covers the offsets
-    0 .. k_len[r] - 1 (in steps), out to the row's farthest point from an
-    element. None when no such lattice exists, a row lies on the array
-    line, the kernels would be no shorter than the (point, element)
-    pairs, or an offset would overflow int64.
+    Returns (c, e, step): the point at x = a * pitch sits at a * c steps
+    and element i at e[i] steps, evenly spaced and ascending. None when
+    no such lattice exists, a row lies on the array line, the row kernels,
+    each out to its row's farthest point from an element, would be no
+    shorter than the (point, element) pairs, or an offset would overflow
+    int64.
     """
     ratio = layout.ies / mesh.pitch
     if np.any(mesh.row_y == 0.0) or not np.isfinite(ratio):
@@ -235,7 +250,7 @@ def _row_lattice(layout: ArrayLayout, mesh: TestZoneMesh):
     k_len = np.maximum(np.abs(mesh.row_lo * c - e.max()), np.abs(mesh.row_hi * c - e.min())) + 1
     if k_len.sum() >= mesh.n_points * e.size:
         return None
-    return c, e, g * mesh.pitch / (2 * q), k_len
+    return c, e, g * mesh.pitch / (2 * q)
 
 
 def _row_ranges(phases: np.ndarray, starts) -> np.ndarray:

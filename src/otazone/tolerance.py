@@ -51,8 +51,14 @@ _M32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 2**32 - 1, 0x43b0d7e5, 0x931e8875, 0x
 _MIX_L, _MIX_R, _PCG_MULT = 0xca01f9dd, 0x4973f715, 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _uint32_words(entry: int) -> tuple:
+    """The little-endian 32-bit words SeedSequence splits a non-negative int into (0 is one)."""
+    return tuple((entry >> shift) & _M32 for shift in range(0, max(entry.bit_length(), 1), 32))
+
+
 def _pcg64_states(rows: Sequence[tuple]):
-    """Yield the PCG64 (state, inc) of ``default_rng(row)`` per tuple of ints in [0, 2**32)."""
+    """Yield the PCG64 (state, inc) of ``default_rng(row)`` per tuple of non-negative ints."""
+    rows = [r if max(r, default=0) <= _M32 else sum(map(_uint32_words, r), ()) for r in rows]
     # SeedSequence's hash, on all rows at once in wrapping uint32 arithmetic
     lens = np.array([max(len(r), 4) for r in rows])  # shorter entropy mixes as if zero-padded
     width = lens.max()
@@ -82,7 +88,7 @@ def draw_errors(model: ExcitationErrorModel, n: int, keys: Sequence) -> np.ndarr
     """One row of n i.i.d. complex errors per key, each part N(0, sigma_linear).
 
     Row i is ``default_rng(keys[i]).standard_normal((2, n))`` bit for bit. If
-    every key is an int or a tuple of ints in [0, 2**32), all are seeded at
+    every key is a non-negative int or a tuple of them, all are seeded at
     once and one generator is re-keyed per row. At zero deviation no stream
     is built.
     """
@@ -91,7 +97,7 @@ def draw_errors(model: ExcitationErrorModel, n: int, keys: Sequence) -> np.ndarr
         return np.zeros((len(keys), n), dtype=complex)
     parts = np.empty((len(keys), 2, n))
     rows = [(k,) if type(k) is int else k for k in keys]
-    if rows and all(type(r) is tuple and all(type(e) is int and 0 <= e <= _M32 for e in r)
+    if rows and all(type(r) is tuple and all(type(e) is int and e >= 0 for e in r)
                     for r in rows):
         gen = np.random.default_rng(keys[0])  # key 0's own stream, re-keyed per row
         for row, (state, inc) in zip(parts, _pcg64_states(rows)):
@@ -186,7 +192,7 @@ def _failing_level_counts(contrib, mesh, eps, cfg) -> Optional[np.ndarray]:
 
 
 def _contrib(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh) -> np.ndarray:
-    """The (n_points, n_elements) per-element field matrix, contrib[p, i] = t_i * g[m(p, i)].
+    """The (n_points, n_elements) per-element field matrix, contrib[p, i] = t_i * g[p, i].
 
     Filled block by block like ``field_over_mesh``: from its row-lattice
     kernel, or off that lattice from ``element_fields`` pair by pair.
@@ -197,7 +203,7 @@ def _contrib(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh) -> np.ndar
             contrib[pts] = element_fields(layout, wave, mesh.points[pts])
         else:
             np.multiply(g, layout.taper, out=contrib[pts])
-        del g  # not held while the next block is gathered
+        del g  # not held while the next block is read
     return contrib
 
 

@@ -263,12 +263,15 @@ class TestCliFom:
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1
 
-    def test_huge_spacing_exits_0(self, tmp_path):
-        # IES / pitch = 8e20: the row-lattice offsets would overflow int64, so the
-        # field is synthesized pair by pair
-        code, data = run_cli(tmp_path, ["fom", "--ies-lambda", "1e20", "--d-lambda", "591"])
-        assert code == 0
-        assert len(data.splitlines()) == 3
+    def test_huge_spacing_exits_1(self, tmp_path, capsys):
+        # elements 5e21 and 5e309 lambda away: float64 resolves k*r more coarsely than
+        # 1 microradian there, so every point would get one phase; refused before any
+        # cos/sin, without a numpy warning (the test run turns one into an error)
+        for ies in ("1e20", "1e308"):
+            code, data = run_cli(tmp_path, ["fom", "--ies-lambda", ies, "--d-lambda", "591"])
+            assert code == 1 and data == b""
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "phase resolution" in err
 
     @pytest.mark.parametrize("ies, d", [
         ("0.7", "5"),  # D smaller than the zone radius violates the mesh precondition

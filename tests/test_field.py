@@ -81,6 +81,16 @@ class TestFieldAt:
         with pytest.raises(ValueError):
             field_at_points(layout, wave, [[layout.positions[3], 0.0]])
 
+    def test_rejects_distance_past_phase_resolution(self, wave, lam):
+        # below k*r = 2**33 adjacent doubles lie at most 2**-20 rad (< 1 microradian)
+        # apart, from there on 2**-19 rad or more
+        unit = ArrayLayout(1, lam, np.ones(1))
+        y = 2.0 ** 33 / wave.wavenumber
+        assert np.isfinite(field_at_points(unit, wave, [[0.0, y * (1 - 1e-9)]])).all()
+        for far in (y * (1 + 1e-9), 1e300, np.inf, np.nan):
+            with pytest.raises(ValueError, match="phase resolution"):
+                field_at_points(unit, wave, [[0.0, far]])
+
 
 class TestFieldProperties:
     def test_mirror_symmetry(self, wave, lam):

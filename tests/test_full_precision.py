@@ -38,7 +38,7 @@ RTOL = 1e-11
 STUDY = dict(snr_db=(-10.0, 20.0), sigma_dut_db=(0.0, 0.4, 1.7),
              alpha_offsets_deg=(0.0, 15.0), n_mc=20, rng_seed=3)
 STUDY_GEOMETRIES = ((0.7, 591.0), (1.35, 286.0))  # (ies, D) in wavelengths
-# name: (sigma_db, n, keys); the largest entry a fast-seeded key may hold is 2**32 - 1
+# name: (sigma_db, n, keys); 2**32 - 1 is the largest entry SeedSequence reads as one word
 DRAWS = {
     "tolerance": (0.37, 100, [(0, 5, r) for r in range(3)] + [(2 ** 32 - 1, 199, 99)]),
     "precode": (1.1, 98, [(0, 1, 1, 20, it) for it in range(3)] + [(7, 0, 0, 1, 2 ** 32 - 1)]),

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from otazone import (TIER1, TIER2, TIER3, ChamberSpec, TestZoneMesh, TestZoneSpec,
                      build_mesh, evaluate_fom, field_at_points, field_over_mesh)
-from otazone.testzone import FomLimits, FomReport, _row_lattice, fom_values
+from otazone import testzone
+from otazone.field import ArrayLayout
+from otazone.testzone import FomLimits, FomReport, _kernel_blocks, _row_lattice, fom_values
 
 from oracles import circular_range_bruteforce, field_oracle
 
@@ -354,7 +358,6 @@ class TestFieldOverMesh:
         assert vals == pytest.approx(singles, rel=1e-12)
 
     def test_fom_invariant_under_taper_scaling(self, wave, lam):
-        from otazone.field import ArrayLayout
         base = ChamberSpec().layout(0.7 * lam)
         scaled = ArrayLayout(100, 0.7 * lam, base.taper * 7.3)
         mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
@@ -494,3 +497,62 @@ class TestFieldOverMeshLattice:
         # the rows go in blocks, so the pairs may be synthesized over several calls
         assert sum(pairs_synthesized) == mesh.n_points * layout.n_elements
         assert np.array_equal(got, field_at_points(layout, wave, mesh.points))
+
+
+class TestKernelWindowRead:
+    """Each block's g against an explicit per-row gather kernel[|a * c - e_i|]."""
+
+    @staticmethod
+    def gathered(layout, wave, mesh, plan):
+        """g row by row: each row's kernel sampled at offsets 0 .. its farthest, then indexed."""
+        c, e, step = plan
+        unit = ArrayLayout(1, layout.ies, np.ones(1))
+        row, a = mesh.lattice()
+        g = np.empty((mesh.n_points, e.size), dtype=complex)
+        for r, y in enumerate(mesh.row_y):
+            on_row = row == r
+            idx = np.abs(a[on_row, None] * c - e[None, :])
+            m = np.arange(idx.max() + 1)
+            kernel = field_at_points(unit, wave, np.column_stack([m * step, np.full(m.size, y)]))
+            g[on_row] = kernel[idx]
+        return g
+
+    @pytest.mark.parametrize("n_elements", [1, 2, 41, 100])
+    @pytest.mark.parametrize("ies_lambda, c", [(0.5, 1), (0.7, 5)])
+    @pytest.mark.parametrize("pitch_lambda", [0.125, 0.25])
+    def test_blocks_equal_explicit_gather(self, wave, lam, monkeypatch, n_elements, ies_lambda,
+                                          c, pitch_lambda):
+        chamber = ChamberSpec(n_elements=n_elements, taper_edge=0,
+                              mesh_pitch_lambda=pitch_lambda)
+        layout = chamber.layout(ies_lambda * lam)
+        zone = build_mesh(chamber.zone(wave, 300 * lam))
+        pitch = zone.pitch
+        # the zone moved wholly past the array's end, x > (N - 1) * IES / 2
+        past = int(np.ceil((n_elements - 1) * ies_lambda / (2 * pitch_lambda))) + 100
+        meshes = {
+            "zone": zone, "half_rows": half_rows(zone), "one_row": one_row(zone),
+            "asymmetric": TestZoneMesh(pitch, 300 * lam + np.array([-1, 0, 1]) * pitch,
+                                       [-12, 4, -20], [8, 30, 16]),
+            "past_the_end": TestZoneMesh(pitch, zone.row_y, zone.row_lo + past,
+                                         zone.row_hi + past),
+        }
+        # the lattice at IES / pitch = P / Q: every mesh below is read through it, also
+        # where its kernel would not be shorter than the pairs and the field would be
+        # synthesized pair by pair
+        p, q = Fraction(ies_lambda / pitch_lambda).limit_denominator().as_integer_ratio()
+        e = (2 * np.arange(n_elements) - (n_elements - 1)) * p
+        gcd = int(np.gcd.reduce(e, initial=2 * q))
+        plan = (2 * q // gcd, e // gcd, gcd * pitch / (2 * q))
+        assert plan[0] == (c if n_elements > 1 else 1)
+        for name, mesh in meshes.items():
+            found = _row_lattice(layout, mesh)
+            assert found is None or (found[0] == plan[0] and np.array_equal(found[1], plan[1])
+                                     and found[2] == plan[2]), name
+        monkeypatch.setattr(testzone, "_row_lattice", lambda layout, mesh: plan)
+        for name, mesh in meshes.items():
+            want = self.gathered(layout, wave, mesh, plan)
+            blocks = list(_kernel_blocks(layout, wave, mesh))
+            assert blocks[0][0].start == 0 and blocks[-1][0].stop == mesh.n_points
+            for pts, g in blocks:
+                assert g.flags.c_contiguous, name
+                assert np.array_equal(g, want[pts]), name

@@ -80,6 +80,18 @@ class TestDrawErrors:
         assert got.real.tobytes() == (want[:, 0] * m.sigma_linear).tobytes()
         assert got.imag.tobytes() == (want[:, 1] * m.sigma_linear).tobytes()
 
+    def test_wide_entries_seeded_in_one_batch(self, monkeypatch):
+        # an entry of 2**32 or more seeds as its little-endian 32-bit words, like SeedSequence
+        m = ExcitationErrorModel(0.3)
+        keys = [(2 ** 32, 1, 2), 2 ** 64 - 1, (0, 2 ** 64, 7), (2 ** 96 + 5,), (3, 2 ** 32 - 1)]
+        want = np.array([np.random.default_rng(k).standard_normal((2, 9)) for k in keys])
+        real, calls = np.random.default_rng, []
+        monkeypatch.setattr(np.random, "default_rng", lambda key: calls.append(key) or real(key))
+        got = draw_errors(m, 9, keys)
+        assert calls == [keys[0]]  # the one generator the batch re-keys
+        assert got.real.tobytes() == (want[:, 0] * m.sigma_linear).tobytes()
+        assert got.imag.tobytes() == (want[:, 1] * m.sigma_linear).tobytes()
+
     @pytest.mark.parametrize("n, keys", [
         (100, [(s, level, r) for s in (0, 2 ** 32 - 1) for level in (1, 37, 200)
                for r in range(100)]),
