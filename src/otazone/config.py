@@ -37,7 +37,7 @@ _DEFAULTS: Dict[str, object] = {
     "frequency_hz": WaveSpec().frequency,
     **asdict(ChamberSpec()),
     "ies_lambda": [round(x, 10) for x in np.arange(0.5, 1.5 + 1e-9, 0.05)],
-    "d_lambda": None,  # derived from d_range_lambda/d_step_lambda when absent
+    "d_lambda": None,  # derived from d_range_lambda/d_step_lambda when absent; excludes them
     "d_range_lambda": [40.0, 2450.0],
     "d_step_lambda": 1.0,
     "geometries_lambda": [list(g) for g in DEFAULT_GEOMETRIES_LAMBDA],
@@ -157,6 +157,9 @@ def load_config(data: Optional[Dict[str, object]] = None,
     unknown = set(data) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    ranged = sorted({"d_range_lambda", "d_step_lambda"} & set(data))
+    if data.get("d_lambda") is not None and ranged:
+        raise ConfigError(f"d_lambda excludes {' and '.join(ranged)}; give one or the other")
     cfg = copy.deepcopy(_DEFAULTS)
     cfg.update(data)
     _validate(cfg)

@@ -49,8 +49,8 @@ def make_taper(n_elements: int, n_edge: int, depth_db: float, endpoint: str) -> 
     0 dB exactly; with ``"exclusive"`` 0 dB is only reached by the first
     untapered element, so the ramp step is ``depth_db / n_edge``.
     """
-    if n_edge < 0 or 2 * n_edge > n_elements:
-        raise ValueError(f"n_edge={n_edge} must satisfy 0 <= 2*n_edge <= n_elements={n_elements}")
+    if not (isinstance(n_edge, (int, np.integer)) and 0 <= 2 * n_edge <= n_elements):
+        raise ValueError(f"n_edge={n_edge} must be an integer, 0 <= 2*n_edge <= {n_elements}")
     if not depth_db <= 0:
         raise ValueError(f"depth_db={depth_db} must be <= 0")
     if endpoint not in ("inclusive", "exclusive"):
@@ -81,8 +81,8 @@ class ArrayLayout:
     taper: np.ndarray
 
     def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be >= 1")
+        if not (isinstance(self.n_elements, (int, np.integer)) and self.n_elements >= 1):
+            raise ValueError("n_elements must be >= 1 and an integer")
         if not (np.isfinite(self.ies) and self.ies > 0):
             raise ValueError("ies must be positive and finite")
         taper = np.asarray(self.taper, dtype=float)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +31,8 @@ class DutArraySpec:
     ies_lambda: float = 0.5
 
     def __post_init__(self):
-        if self.n_elements < 2:
-            raise ValueError("DUT needs at least 2 elements")
+        if not (isinstance(self.n_elements, (int, np.integer)) and self.n_elements >= 2):
+            raise ValueError("DUT needs an integer count of at least 2 elements")
         if not 0 < self.ies_lambda < np.inf:
             raise ValueError("DUT spacing ies_lambda must be positive and finite")
 
@@ -100,43 +100,36 @@ def zf_weights(h: np.ndarray) -> np.ndarray:
 COMBINERS = {"MF": mf_weights, "ZF": zf_weights}
 
 
-def sinr(h: np.ndarray, w: np.ndarray, snr_db: float | Sequence[float],
-         noise_norms: Optional[np.ndarray] = None):
-    """Per-user uplink SINR with linear combining.
+def sinr(h: np.ndarray, w: np.ndarray, snr_db: Sequence[float],
+         noise_norms: np.ndarray) -> np.ndarray:
+    """Per-user uplink SINR with linear combining, (n_snr, m, 2) for m combiners.
 
     Receive model: unit-variance noise per DUT element, per-user transmit
     power rho = 10^(snr_db/10) after channel normalization. With
     G = H @ W, user u sees rho*|G[u,u]|^2 of signal, rho*|G[v,u]|^2 of
-    interference, and ||w_u||^2 of noise.
+    interference, and noise_norms[u] of noise.
 
-    ``w`` is one (n_dut, 2) combiner, giving the pair of SINRs, or a
-    (m, n_dut, 2) batch, giving an (m, 2) array. ``noise_norms``
-    overrides the per-column noise powers; the weight error study passes
-    the nominal (error-free) combiner norms so the noise floor stays
-    anchored while the errors distort the gains. A sequence ``snr_db``
-    gives a list of such results, one per SNR, from one product G.
+    ``w`` is an (m, n_dut, 2) batch of combiners and ``noise_norms`` the
+    per-column noise powers, broadcast against (m, 2); the weight error
+    study passes the nominal (error-free) combiner norms so the noise
+    floor stays anchored while the errors distort the gains.
     """
-    w = np.asarray(w)
-    g = np.einsum('un,...nv->...uv', h, w)
-    norms = np.sum(np.abs(w) ** 2, axis=-2) if noise_norms is None else np.asarray(noise_norms)
-    if np.any(norms == 0.0):
+    g = np.einsum('un,mnv->muv', h, w)
+    if np.any(np.asarray(noise_norms) == 0.0):
         raise ValueError("zero-norm combiner column")
     gain = np.abs(g) ** 2
+    # rho through C pow: numpy's SIMD power rounds some exponents differently (rates' last bits)
+    rho = np.array([math.pow(10.0, snr / 10.0) for snr in snr_db])[:, None, None]
     # user u: signal G[u, u], interference G[v, u] with v = 1 - u
-    out = [rho * gain[..., [0, 1], [0, 1]] / (rho * gain[..., [1, 0], [0, 1]] + norms)
-           for rho in [10.0 ** (snr / 10.0) for snr in np.atleast_1d(snr_db).tolist()]]
-    if w.ndim == 2:
-        out = [(float(o[0]), float(o[1])) for o in out]
-    return out if np.ndim(snr_db) else out[0]
+    return rho * gain[:, [0, 1], [0, 1]] / (rho * gain[:, [1, 0], [0, 1]] + noise_norms)
 
 
-def sum_rate(sinr_pair):
-    """Aggregate spectral efficiency, bits/s/Hz: a float per SINR pair, m rates per (m, 2) batch."""
-    s = np.asarray(sinr_pair, dtype=float)
+def sum_rate(sinrs) -> np.ndarray:
+    """Aggregate spectral efficiency, bits/s/Hz: one rate per row of SINR pairs (last axis)."""
+    s = np.asarray(sinrs, dtype=float)
     if not np.all(s >= 0):
         raise ValueError("SINR must be non-negative")
-    rate = np.log2(1.0 + s).sum(axis=-1)
-    return float(rate) if rate.ndim == 0 else rate
+    return np.log2(1.0 + s).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,10 @@ class StudyConfig:
     dut: DutArraySpec = field(default_factory=DutArraySpec)
 
     def __post_init__(self):
-        if self.n_mc < 1:
-            raise ValueError("n_mc must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        if not (isinstance(self.n_mc, (int, np.integer)) and self.n_mc >= 1):
+            raise ValueError("n_mc must be >= 1 and an integer")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be >= 0 and an integer")
         for name in ("snr_db", "sigma_dut_db", "alpha_offsets_deg"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         axes = (self.snr_db, self.sigma_dut_db, self.alpha_offsets_deg)
@@ -203,9 +196,9 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
                 eps_batch = draw_errors(ExcitationErrorModel(sigma), 2 * cfg.dut.n_elements,
                                         keys).reshape(len(keys), -1, 2)
                 for prec, w in weights.items():
-                    per_snr = sinr(h, (1.0 + eps_batch) * w[None, :, :], cfg.snr_db,
-                                   noise_norms[prec])
-                    for snr, pairs in zip(cfg.snr_db, per_snr):
-                        results.append(SumRatePoint(layout.length, dist, alpha, prec, snr,
-                                                    sigma, float(sum_rate(pairs).mean())))
+                    rates = sum_rate(sinr(h, (1.0 + eps_batch) * w, cfg.snr_db,
+                                          noise_norms[prec])).mean(axis=-1)
+                    results.extend(SumRatePoint(layout.length, dist, alpha, prec, snr, sigma,
+                                                float(rate))
+                                   for snr, rate in zip(cfg.snr_db, rates))
     return results

@@ -62,11 +62,12 @@ class ComplianceMap:
     cells: Tuple[SweepCell, ...]  # IES-major, D-ascending
 
     def cell(self, ies: float, d: float) -> SweepCell:
-        i = np.flatnonzero(np.isclose(self.grid.ies_values, ies))
-        j = np.flatnonzero(np.isclose(self.grid.d_values, d))
-        if i.size == 0 or j.size == 0:
+        """The cell at the nearest grid point, which must match (ies, d) to a relative 1e-5."""
+        i, j = (int(np.argmin(np.abs(np.subtract(axis, v))))
+                for axis, v in ((self.grid.ies_values, ies), (self.grid.d_values, d)))
+        if not np.allclose((self.grid.ies_values[i], self.grid.d_values[j]), (ies, d), atol=0.0):
             raise KeyError(f"no cell at (ies={ies}, d={d})")
-        return self.cells[i[0] * len(self.grid.d_values) + j[0]]
+        return self.cells[i * len(self.grid.d_values) + j]
 
 
 @contextmanager

@@ -58,8 +58,8 @@ class ChamberSpec:
     mesh_pitch_lambda: float = 1.0 / 8.0
 
     def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be >= 1")
+        if not (isinstance(self.n_elements, (int, np.integer)) and self.n_elements >= 1):
+            raise ValueError("n_elements must be >= 1 and an integer")
         self._taper()
         if not (self.tz_radius_lambda > 0 and self.mesh_pitch_lambda > 0):
             raise ValueError("tz_radius_lambda and mesh_pitch_lambda must be positive")
@@ -99,8 +99,8 @@ class TestZoneMesh:
             raise ValueError("mesh pitch must be positive and finite")
         row_y = np.asarray(self.row_y, dtype=float)
         lo, hi = (np.asarray(v, dtype=np.int64) for v in (self.row_lo, self.row_hi))
-        if row_y.ndim != 1 or row_y.size == 0:
-            raise ValueError("mesh needs a 1-D array of at least one row")
+        if row_y.ndim != 1 or row_y.size == 0 or not np.isfinite(row_y).all():
+            raise ValueError("mesh needs a 1-D array of at least one row, every row_y finite")
         if any(v.ndim != 0 and v.shape != row_y.shape for v in (lo, hi)):
             raise ValueError("row_y, row_lo and row_hi must have one entry per row")
         if np.any(hi < lo):

@@ -126,10 +126,10 @@ class ToleranceSearchConfig:
         if not self.step_db <= self.max_sigma_db < _MAX_SIGMA_DB:
             raise ValueError(f"max_sigma_db must be at least one step_db and below "
                              f"{_MAX_SIGMA_DB:.2f} dB")
-        if self.n_mc < 1:
-            raise ValueError("n_mc must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        if not (isinstance(self.n_mc, (int, np.integer)) and self.n_mc >= 1):
+            raise ValueError("n_mc must be >= 1 and an integer")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be >= 0 and an integer")
         if self.fail_rule not in ("any", "majority"):
             raise ValueError("fail_rule must be 'any' or 'majority'")
 

@@ -151,7 +151,7 @@ def test_acceptance_5_zf_exactness(wave, lam, study_channels, report):
         worst_resid = max(worst_resid, float(np.max(np.abs(h @ w - np.eye(2)))))
         for snr_db in (-10.0, 0.0, 10.0, 20.0):
             rho = 10.0 ** (snr_db / 10.0)
-            got = sum_rate(sinr(h, w, snr_db))
+            got = sum_rate(sinr(h, w[None], [snr_db], np.sum(np.abs(w) ** 2, axis=0)))[0, 0]
             want = sum(np.log2(1.0 + rho / np.sum(np.abs(w[:, u]) ** 2))
                        for u in (0, 1))
             worst_rate = max(worst_rate, abs(got - want) / abs(want))

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from otazone import (ArrayLayout, ChamberSpec, ConfigError, DutArraySpec, ExcitationErrorModel,
-                     FomLimits, StudyConfig, SweepGrid, TestZoneSpec, ToleranceSearchConfig,
-                     alpha_min_deg, load_config, sum_rate)
+                     FomLimits, StudyConfig, SweepGrid, TestZoneMesh, TestZoneSpec,
+                     ToleranceSearchConfig, alpha_min_deg, load_config, sum_rate)
 from otazone.cli import main
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 
@@ -143,9 +143,22 @@ NAN, INF = float("nan"), float("inf")
     lambda: ChamberSpec(taper_depth_db=NAN),
     lambda: alpha_min_deg(NAN, 1.0),
     lambda: sum_rate([1.0, NAN]),
+    # counts, seeds and edges must be integers at or above their bound
+    lambda: ToleranceSearchConfig(n_mc=NAN),
+    lambda: ToleranceSearchConfig(n_mc=2.5),
+    lambda: ToleranceSearchConfig(rng_seed=NAN),
+    lambda: StudyConfig(n_mc=NAN),
+    lambda: StudyConfig(rng_seed=NAN),
+    lambda: DutArraySpec(n_elements=NAN),
+    lambda: ChamberSpec(n_elements=NAN),
+    lambda: ChamberSpec(taper_edge=NAN),
+    lambda: TestZoneMesh(0.1, [NAN], 0, 1),
+    lambda: TestZoneMesh(0.1, [0.0, INF], 0, 1),
 ], ids=["FomLimits", "error_model-nan", "error_model-inf", "step_db", "max_sigma_db",
         "dut_ies", "snr_db", "sigma_dut_db", "alpha_offsets", "tz_radius", "taper_depth",
-        "alpha_min", "sum_rate"])
+        "alpha_min", "sum_rate", "tolerance_n_mc", "tolerance_n_mc-fraction", "tolerance_seed",
+        "study_n_mc", "study_seed", "dut_n_elements", "chamber_n_elements", "taper_edge",
+        "mesh_row_y-nan", "mesh_row_y-inf"])
 def test_library_rejects_nan_and_inf(make):
     # the config path rejects them first; the library types must too
     with pytest.raises(ValueError):
@@ -239,6 +252,9 @@ class TestCliFom:
         ({"sigma_dut_db": [0, 7000]}, "sigma_dut_db=[0, 7000]"),
         ({"sigma_step_db": 7000, "max_sigma_db": 7000}, "max_sigma_db must be at least one "
                                                         "step_db and below 6165.09 dB"),
+        # an explicit D axis would silently win over the range keys
+        ({"d_lambda": [300, 301], "d_step_lambda": 5, "d_range_lambda": [100, 200]},
+         "config error: d_lambda excludes d_range_lambda and d_step_lambda"),
     ])
     def test_bad_value_exits_with_message(self, tmp_path, capsys, config, message):
         with warnings.catch_warnings(record=True) as caught:

@@ -9,6 +9,11 @@ from otazone import precoding
 from oracles import sinr_symbol_oracle, zf_oracle
 
 
+def norms(w):
+    """Per-column noise powers of one (n_dut, 2) combiner."""
+    return np.sum(np.abs(w) ** 2, axis=0)
+
+
 def random_channel(rng, n_users=2, n_rx=49):
     h = (rng.standard_normal((n_users, n_rx)) +
          1j * rng.standard_normal((n_users, n_rx))) / np.sqrt(2)
@@ -135,10 +140,12 @@ class TestSinr:
         h = random_channel(rng, n_rx=8)
         w = zf_weights(h) + 0.1 * (rng.standard_normal((8, 2)) +
                                    1j * rng.standard_normal((8, 2)))
-        for snr_db in (-10.0, 0.0, 10.0):
-            got = sinr(h, w, snr_db)
+        snrs = (-10.0, 0.0, 10.0)
+        got = sinr(h, w[None], snrs, norms(w))
+        assert got.shape == (3, 1, 2)
+        for snr_db, pair in zip(snrs, got[:, 0]):
             want = sinr_symbol_oracle(h, w, snr_db, n_symbols=400_000)
-            assert got == pytest.approx(want, rel=0.02)
+            assert pair == pytest.approx(want, rel=0.02)
 
     def test_zf_zero_error_closed_form(self, wave, lam):
         layout = ChamberSpec().layout(0.7 * lam)
@@ -146,49 +153,33 @@ class TestSinr:
         h = build_channel(layout, 591 * lam, a, DutArraySpec(), wave)
         w = zf_weights(h)
         rho = 10.0 ** (10.0 / 10.0)
-        got = sum_rate(sinr(h, w, 10.0))
+        got = sum_rate(sinr(h, w[None], [10.0], norms(w)))[0, 0]
         want = sum(np.log2(1.0 + rho / np.sum(np.abs(w[:, u]) ** 2)) for u in (0, 1))
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_noise_norm_override(self):
+        # halving the noise norms raises every SINR
         h = random_channel(np.random.default_rng(7), n_rx=8)
         w = mf_weights(h)
-        default = sinr(h, w, 0.0)
-        overridden = sinr(h, w, 0.0, noise_norms=np.sum(np.abs(w) ** 2, axis=0))
-        assert default == pytest.approx(overridden, rel=1e-12)
-        halved = sinr(h, w, 0.0, noise_norms=0.5 * np.sum(np.abs(w) ** 2, axis=0))
-        assert halved[0] > default[0]
+        snrs = (-10.0, 0.0, 10.0)
+        assert np.all(sinr(h, w[None], snrs, 0.5 * norms(w)) > sinr(h, w[None], snrs, norms(w)))
 
     def test_rejects_zero_norm_column(self):
         h = random_channel(np.random.default_rng(8), n_rx=4)
         w = np.zeros((4, 2), dtype=complex)
         with pytest.raises(ValueError):
-            sinr(h, w, 0.0)
+            sinr(h, w[None], [0.0], norms(w))
 
     def test_sinr_monotone_in_snr(self):
         h = random_channel(np.random.default_rng(9), n_rx=8)
         w = mf_weights(h)
-        vals = [sinr(h, w, s)[0] for s in (-10.0, 0.0, 10.0, 20.0)]
+        vals = sinr(h, w[None], (-10.0, 0.0, 10.0, 20.0), norms(w))[:, 0, 0]
         assert np.all(np.diff(vals) > 0)
 
     def test_sum_rate(self):
-        assert sum_rate((1.0, 3.0)) == pytest.approx(1.0 + 2.0, rel=1e-12)
+        assert sum_rate([[1.0, 3.0], [0.0, 7.0]]) == pytest.approx([1.0 + 2.0, 3.0], rel=1e-12)
         with pytest.raises(ValueError):
-            sum_rate((-0.5, 1.0))
-
-    def test_batched_matches_scalar(self):
-        rng = np.random.default_rng(10)
-        h = random_channel(rng, n_rx=8)
-        w = zf_weights(h)
-        noise = np.sum(np.abs(w) ** 2, axis=0)
-        model = ExcitationErrorModel(0.5)
-        eps = draw_errors(model, w.size, [(10, it) for it in range(5)])
-        w_batch = (1 + eps.reshape(5, *w.shape)) * w
-        got = sinr(h, w_batch, 10.0, noise_norms=noise)
-        assert got.shape == (5, 2)
-        want = [sinr(h, wb, 10.0, noise_norms=noise) for wb in w_batch]
-        assert got == pytest.approx(np.array(want), rel=1e-12)
-        assert sum_rate(got) == pytest.approx([sum_rate(p) for p in want], rel=1e-12)
+            sum_rate([[-0.5, 1.0]])
 
     def test_batched_matches_symbol_oracle(self):
         rng = np.random.default_rng(11)
@@ -197,9 +188,9 @@ class TestSinr:
         model = ExcitationErrorModel(1.0)
         eps = draw_errors(model, w.size, [(11, it) for it in range(4)])
         w_batch = (1 + eps.reshape(4, *w.shape)) * w
-        got = sinr(h, w_batch, 0.0)
+        got = sinr(h, w_batch, [0.0], np.sum(np.abs(w_batch) ** 2, axis=1))
         want = sinr_symbol_oracle(h, w_batch[2], 0.0, n_symbols=400_000)
-        assert got[2] == pytest.approx(want, rel=0.02)
+        assert got[0, 2] == pytest.approx(want, rel=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +230,7 @@ class TestRunStudy:
         h = build_channel(layout, 591 * lam, a_min + 15.0, cfg.dut, wave)
         for prec, wfun in (("MF", mf_weights), ("ZF", zf_weights)):
             w = wfun(h)
-            want = sum_rate(sinr(h, w, 10.0))
+            want = sum_rate(sinr(h, w[None], [10.0], norms(w)))[0, 0]
             got = [p.avg_sum_rate for p in pts
                    if p.precoder == prec and p.sigma_dut_db == 0.0
                    and p.snr_db == 10.0
@@ -297,13 +288,12 @@ class TestRunStudy:
         n_dut = cfg.dut.n_elements
         for prec, wfun in (("MF", mf_weights), ("ZF", zf_weights)):
             w = wfun(h)
-            noise = np.sum(np.abs(w) ** 2, axis=0)
             rates = []
             for it in range(cfg.n_mc):
                 rng = np.random.default_rng([cfg.rng_seed, gi, ai, si, it])
                 z = rng.standard_normal((2, 2 * n_dut)) * s
                 eps = (z[0] + 1j * z[1]).reshape(n_dut, 2)
-                rates.append(sum_rate(sinr(h, (1 + eps) * w, 10.0, noise)))
+                rates.append(sum_rate(sinr(h, ((1 + eps) * w)[None], [10.0], norms(w)))[0, 0])
             got = [p.avg_sum_rate for p in pts
                    if p.precoder == prec and p.sigma_dut_db == cfg.sigma_dut_db[si]
                    and p.distance == geoms[gi][1] and p.alpha_deg == alpha]

@@ -135,6 +135,12 @@ class TestRunSweep:
         with pytest.raises(KeyError, match="no cell at"):
             cmap.cell(ies[1], 100.5 * lam)
 
+    def test_cell_lookup_on_a_fine_grid(self, wave, lam):
+        # D steps of 1e-3 lambda lie within a relative 1e-5 of each other
+        d = tuple(np.array([400.0, 400.001, 400.002]) * lam)
+        cmap = run_sweep(SweepGrid((0.7 * lam,), d), wave, ChamberSpec(tz_radius_lambda=1.0))
+        assert [cmap.cell(0.7 * lam, dj).d for dj in d] == list(d)
+
     def test_failure_wrapped_with_coordinates(self, wave, lam):
         grid = SweepGrid((0.5 * lam,), (2 * lam,))  # zone would hit the array
         with pytest.raises(ValueError, match="sweep cell"):
