@@ -16,6 +16,13 @@ SPEED_OF_LIGHT = 299792458.0
 _PHASE_RESOLUTION = 1e-6
 
 
+def checked_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class WaveSpec:
     """Operating frequency and derived wave quantities.
@@ -49,8 +56,8 @@ def make_taper(n_elements: int, n_edge: int, depth_db: float, endpoint: str) -> 
     0 dB exactly; with ``"exclusive"`` 0 dB is only reached by the first
     untapered element, so the ramp step is ``depth_db / n_edge``.
     """
-    if not (isinstance(n_edge, (int, np.integer)) and 0 <= 2 * n_edge <= n_elements):
-        raise ValueError(f"n_edge={n_edge} must be an integer, 0 <= 2*n_edge <= {n_elements}")
+    if not 2 * checked_int("n_edge", n_edge, 0) <= n_elements:
+        raise ValueError(f"n_edge={n_edge} must satisfy 2*n_edge <= {n_elements}")
     if not depth_db <= 0:
         raise ValueError(f"depth_db={depth_db} must be <= 0")
     if endpoint not in ("inclusive", "exclusive"):
@@ -81,8 +88,7 @@ class ArrayLayout:
     taper: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.n_elements, (int, np.integer)) and self.n_elements >= 1):
-            raise ValueError("n_elements must be >= 1 and an integer")
+        object.__setattr__(self, "n_elements", checked_int("n_elements", self.n_elements, 1))
         if not (np.isfinite(self.ies) and self.ies > 0):
             raise ValueError("ies must be positive and finite")
         taper = np.asarray(self.taper, dtype=float)

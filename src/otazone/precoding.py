@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .field import ArrayLayout, WaveSpec, field_at_points
+from .field import ArrayLayout, WaveSpec, checked_int, field_at_points
 from .testzone import ChamberSpec
 from .tolerance import ExcitationErrorModel, draw_errors
 
@@ -31,8 +31,7 @@ class DutArraySpec:
     ies_lambda: float = 0.5
 
     def __post_init__(self):
-        if not (isinstance(self.n_elements, (int, np.integer)) and self.n_elements >= 2):
-            raise ValueError("DUT needs an integer count of at least 2 elements")
+        object.__setattr__(self, "n_elements", checked_int("n_elements", self.n_elements, 2))
         if not 0 < self.ies_lambda < np.inf:
             raise ValueError("DUT spacing ies_lambda must be positive and finite")
 
@@ -142,10 +141,8 @@ class StudyConfig:
     dut: DutArraySpec = field(default_factory=DutArraySpec)
 
     def __post_init__(self):
-        if not (isinstance(self.n_mc, (int, np.integer)) and self.n_mc >= 1):
-            raise ValueError("n_mc must be >= 1 and an integer")
-        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
-            raise ValueError("rng_seed must be >= 0 and an integer")
+        for name, least in (("n_mc", 1), ("rng_seed", 0)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), least))
         for name in ("snr_db", "sigma_dut_db", "alpha_offsets_deg"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         axes = (self.snr_db, self.sigma_dut_db, self.alpha_offsets_deg)

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import ArrayLayout, WaveSpec, field_at_points, make_taper
+from .field import ArrayLayout, WaveSpec, checked_int, field_at_points, make_taper
 
 FOM_ORDER = ("R_mag", "sigma_mag", "R_phs")
 
@@ -58,11 +58,11 @@ class ChamberSpec:
     mesh_pitch_lambda: float = 1.0 / 8.0
 
     def __post_init__(self):
-        if not (isinstance(self.n_elements, (int, np.integer)) and self.n_elements >= 1):
-            raise ValueError("n_elements must be >= 1 and an integer")
+        for name, least in (("n_elements", 1), ("taper_edge", 0)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), least))
         self._taper()
-        if not (self.tz_radius_lambda > 0 and self.mesh_pitch_lambda > 0):
-            raise ValueError("tz_radius_lambda and mesh_pitch_lambda must be positive")
+        if not (0 < self.tz_radius_lambda < np.inf and 0 < self.mesh_pitch_lambda < np.inf):
+            raise ValueError("tz_radius_lambda and mesh_pitch_lambda must be positive and finite")
 
     def _taper(self) -> np.ndarray:
         return make_taper(self.n_elements, self.taper_edge, self.taper_depth_db,

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import ArrayLayout, WaveSpec, element_fields
+from .field import ArrayLayout, WaveSpec, checked_int, element_fields
 from .testzone import (FOM_ORDER, ChamberSpec, FomLimits, TIER1, TestZoneMesh, _kernel_blocks,
                        build_mesh, fom_values)
 
@@ -126,10 +126,8 @@ class ToleranceSearchConfig:
         if not self.step_db <= self.max_sigma_db < _MAX_SIGMA_DB:
             raise ValueError(f"max_sigma_db must be at least one step_db and below "
                              f"{_MAX_SIGMA_DB:.2f} dB")
-        if not (isinstance(self.n_mc, (int, np.integer)) and self.n_mc >= 1):
-            raise ValueError("n_mc must be >= 1 and an integer")
-        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
-            raise ValueError("rng_seed must be >= 0 and an integer")
+        for name, least in (("n_mc", 1), ("rng_seed", 0)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), least))
         if self.fail_rule not in ("any", "majority"):
             raise ValueError("fail_rule must be 'any' or 'majority'")
 
@@ -143,16 +141,51 @@ class ToleranceResult:
 
 # Rows of errors in level_fom_batch's largest chunk
 _CHUNK_ROWS = 32
+# _factor's singular-value cut, relative to the largest, its factor tolerance, relative to
+# ||contrib||_F (the factors miss contrib by 1-2e-13 of that on the reference geometries),
+# and the rows per block of its residual check
+_RANK_CUT, _FACTOR_TOL, _CHECK_ROWS = 1e-13, 1e-12, 1024
 
 
-def level_fom_batch(contrib: np.ndarray, mesh: TestZoneMesh,
+def _factor(contrib: np.ndarray):
+    """``(f0, B, V)`` with contrib ~ B @ V and f0 = contrib.sum(axis=1), else ``contrib``.
+
+    V holds the right singular vectors of a row sample of contrib (every
+    s-th row, with s leaving at least 4 * n_elements rows) whose singular
+    values exceed _RANK_CUT of the largest, and B = contrib @ V^H; f0 is
+    the error-free field. ``contrib`` itself is returned if V keeps all
+    n_elements rows, or if ||contrib - B @ V||_F exceeds _FACTOR_TOL of
+    ||contrib||_F. Both norms are summed over blocks of _CHECK_ROWS rows
+    scaled by the top sample singular value, so no square overflows and
+    no temporary is as large as contrib.
+    """
+    n_points, n_elements = contrib.shape
+    _, s, vh = np.linalg.svd(contrib[::max(1, n_points // (4 * n_elements))],
+                             full_matrices=False)
+    v = vh[s > _RANK_CUT * s[0]]
+    if len(v) == n_elements:  # no lower rank to work in
+        return contrib
+    b = (v.conj() @ contrib.T).T  # contrib @ v^H peaks ~47 MB higher with two BLAS threads
+    resid = norm = 0.0
+    for lo in range(0, n_points, _CHECK_ROWS):
+        rows = contrib[lo:lo + _CHECK_ROWS] / s[0]
+        norm += np.vdot(rows, rows).real
+        rows -= b[lo:lo + _CHECK_ROWS] @ (v / s[0])
+        resid += np.vdot(rows, rows).real
+    if resid > _FACTOR_TOL ** 2 * norm:
+        return contrib
+    return contrib.sum(axis=1), b, v
+
+
+def level_fom_batch(contrib, mesh: TestZoneMesh,
                     eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """FoM triples for a batch of error realizations.
 
     ``contrib`` is the (n_points, n_elements) error-free per-element field
-    matrix; ``eps`` is (batch, n_elements), one realization per row.
-    Returns per-realization arrays (r_mag, sigma_mag, r_phs), each of
-    length batch.
+    matrix, or its ``_factor`` triple (f0, B, V); ``eps`` is
+    (batch, n_elements), one realization per row. Returns per-realization
+    arrays (r_mag, sigma_mag, r_phs), each of length batch. A chunk's
+    fields are (1 + chunk) @ contrib^T, or f0 + (chunk @ V^T) @ B^T.
 
     The rows go in near-equal chunks of at most _CHUNK_ROWS (100 rows are
     4 chunks of 25). While one worker thread scores chunk k, this thread
@@ -165,7 +198,12 @@ def level_fom_batch(contrib: np.ndarray, mesh: TestZoneMesh,
     parts, scoring = [], None
     with ThreadPoolExecutor(max_workers=1) as pool:  # waits for the worker on any exit
         for chunk in np.array_split(eps, max(1, -(-len(eps) // _CHUNK_ROWS))):
-            values = (1.0 + chunk) @ contrib.T
+            if isinstance(contrib, tuple):
+                f0, b, v = contrib
+                values = (chunk @ v.T) @ b.T
+                values += f0
+            else:
+                values = (1.0 + chunk) @ contrib.T
             if scoring is not None:
                 parts.append(scoring.result())
             scoring = pool.submit(fom_values, mesh, values)
@@ -217,7 +255,9 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     level k > 0 runs ``n_mc`` fresh ones at k steps. Each level fails per
     ``cfg.fail_rule``. Realization streams are keyed by (seed, level,
     realization), so results do not depend on evaluation order, chunking or
-    thread count.
+    thread count. The fields come from contrib's low-rank factors where
+    ``_factor`` finds them; they agree with the full product to about
+    1e-12 relative.
 
     Returns the last passing level and the failing FoM attributed by
     majority vote over the violating realizations at the failing level
@@ -227,7 +267,7 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     """
     layout = chamber.layout(ies)
     mesh = build_mesh(chamber.zone(wave, distance))
-    contrib = _contrib(layout, wave, mesh)
+    contrib = _factor(_contrib(layout, wave, mesh))  # kept whole only if it does not factor
     for level in itertools.count():
         sigma_db = level * cfg.step_db
         if sigma_db > cfg.max_sigma_db + 1e-12:

@@ -42,6 +42,11 @@ TINY = {
     "precode": {"geometries_lambda": [[0.7, 591.0]], "n_mc_precode": 3, "snr_db": [10.0],
                 "sigma_dut_db": [0.0, 0.5], "dut_elements": 4},
 }
+# exact counts of the tiny tolerance run, so a change of how the search forms its fields
+# that moves what the benchmark counts fails here rather than in a benchmark run
+TINY_COUNTS = {"tolerance": {"tolerance.level_fom_batch.realizations": 10,
+                             "tolerance.level_fom_batch.calls": 4,
+                             "field.element_fields.pairs": 48271, "tolerance.levels": 4}}
 
 
 @pytest.mark.parametrize("kind", sorted(TINY))
@@ -54,8 +59,10 @@ def test_cli_run_reaches_expected_spans(kind, tmp_path):
     try:
         tracer.start_op()
         assert main(["--config", str(cfg), "-o", str(tmp_path / "out.csv"), kind]) == 0
-        self_s, _ = tracer.finish_op()
+        self_s, counts = tracer.finish_op()
     finally:
         tracer.uninstall()
     assert tracer.missing == []
     assert [s for s in tracing.EXPECTED[kind] if s not in self_s] == []
+    pinned = TINY_COUNTS.get(kind, {})
+    assert {name: counts[name] for name in pinned} == pinned

@@ -140,6 +140,8 @@ NAN, INF = float("nan"), float("inf")
     lambda: StudyConfig(sigma_dut_db=(0.0, NAN)),
     lambda: StudyConfig(alpha_offsets_deg=(INF,)),
     lambda: ChamberSpec(tz_radius_lambda=NAN),
+    lambda: ChamberSpec(tz_radius_lambda=INF),
+    lambda: ChamberSpec(mesh_pitch_lambda=INF),
     lambda: ChamberSpec(taper_depth_db=NAN),
     lambda: alpha_min_deg(NAN, 1.0),
     lambda: sum_rate([1.0, NAN]),
@@ -155,7 +157,8 @@ NAN, INF = float("nan"), float("inf")
     lambda: TestZoneMesh(0.1, [NAN], 0, 1),
     lambda: TestZoneMesh(0.1, [0.0, INF], 0, 1),
 ], ids=["FomLimits", "error_model-nan", "error_model-inf", "step_db", "max_sigma_db",
-        "dut_ies", "snr_db", "sigma_dut_db", "alpha_offsets", "tz_radius", "taper_depth",
+        "dut_ies", "snr_db", "sigma_dut_db", "alpha_offsets", "tz_radius", "tz_radius-inf",
+        "mesh_pitch-inf", "taper_depth",
         "alpha_min", "sum_rate", "tolerance_n_mc", "tolerance_n_mc-fraction", "tolerance_seed",
         "study_n_mc", "study_seed", "dut_n_elements", "chamber_n_elements", "taper_edge",
         "mesh_row_y-nan", "mesh_row_y-inf"])
@@ -172,13 +175,16 @@ def test_library_rejects_nan_and_inf(make):
     (lambda: TestZoneSpec(10.0, 1.0, 0.0), "pitch must be positive"),
     (lambda: SweepGrid((0.0,), (1.0,)), "ies values must be positive"),
     (lambda: StudyConfig(rng_seed=-1), "rng_seed must be >= 0"),  # the config's seed check is first
+    # a bool is not a count
+    (lambda: ToleranceSearchConfig(n_mc=True), "n_mc must be >= 1 and an integer"),
     # dB values whose linear scale overflows: 10^(x/10) for an SNR, 10^(x/20) for a deviation
     (lambda: StudyConfig(snr_db=(0.0, 4000.0)), "snr_db values must be below 3082.55 dB"),
     (lambda: StudyConfig(sigma_dut_db=(0.0, 7000.0)), "sigma_db must be >= 0 and below 6165.09"),
     (lambda: ExcitationErrorModel(7000.0), "sigma_db must be >= 0 and below 6165.09 dB"),
     (lambda: ToleranceSearchConfig(max_sigma_db=7000.0), "max_sigma_db must be .* below 6165.09"),
 ], ids=["layout_n_elements", "layout_taper_shape", "chamber_n_elements", "zone_pitch",
-        "sweep_ies", "study_seed", "study_snr", "study_sigma_dut", "error_model", "max_sigma_db"])
+        "sweep_ies", "study_seed", "tolerance_n_mc-bool", "study_snr", "study_sigma_dut",
+        "error_model", "max_sigma_db"])
 def test_library_rejects_out_of_range(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -372,11 +378,12 @@ class TestCliTolerance:
         assert fields[4] in ("R_mag", "sigma_mag", "R_phs", "exceeds_cap")
         assert fields[5:7] == ["3", "1"]
 
-    def test_huge_frequency_gives_default_rows(self, tmp_path):
+    @pytest.mark.parametrize("frequency", [1e300, 1e-250])
+    def test_huge_frequency_gives_default_rows(self, tmp_path, frequency):
         # see TestCliFom.test_huge_frequency_gives_default_rows
         cfg = {"tz_radius_lambda": 2.0, "n_mc_tolerance": 3, "sigma_step_db": 0.5}
         code, data = run_cli(tmp_path, ["tolerance"], name="huge.csv",
-                             config={**cfg, "frequency_hz": 1e300})
+                             config={**cfg, "frequency_hz": frequency})
         assert code == 0
         want = run_cli(tmp_path, ["tolerance"], config=cfg)[1]
         assert data.splitlines()[1:] == want.splitlines()[1:]

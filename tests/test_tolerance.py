@@ -12,7 +12,8 @@ from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, _kernel_blocks, build_mesh, fom_values
 from otazone import tolerance
-from otazone.tolerance import FOM_ORDER, _contrib, _failing_level_counts, level_fom_batch
+from otazone.tolerance import (FOM_ORDER, _contrib, _factor, _failing_level_counts,
+                               level_fom_batch)
 
 
 class TestErrorModel:
@@ -184,6 +185,39 @@ class TestKernelContrib:
         for pts, points in zip(blocks, calls):
             assert np.array_equal(points, mesh.points[pts])
         assert np.array_equal(np.concatenate(calls), mesh.points)
+
+
+class TestFactor:
+    """The search's fields from contrib's low-rank factors against the full product."""
+
+    @pytest.mark.parametrize("ies, d, radius", [(ies, d, 99 / 8) for ies, d in
+                                                DEFAULT_GEOMETRIES_LAMBDA] + [(0.7, 591.0, 2.0)])
+    def test_matches_full_product(self, wave, lam, ies, d, radius):
+        chamber = ChamberSpec(tz_radius_lambda=radius)
+        mesh = build_mesh(chamber.zone(wave, d * lam))
+        contrib = _contrib(chamber.layout(ies * lam), wave, mesh)
+        factors = _factor(contrib)
+        assert isinstance(factors, tuple) and len(factors[2]) < 50
+        eps = np.vstack([draw_errors(ExcitationErrorModel(sigma_db), 100,
+                                     [(0, 1, r) for r in range(8)])
+                         for sigma_db in (0.05, 0.5, 2.0)])
+        np.testing.assert_allclose(level_fom_batch(factors, mesh, eps),
+                                   level_fom_batch(contrib, mesh, eps), rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("n_elements, sampled_rank", [(100, 100), (10, 2)])
+    def test_unfactored_contrib_keeps_full_product(self, lam, n_elements, sampled_rank):
+        # (100, 100): full rank, no lower rank to work in; (10, 2): rank 2 but for row 1,
+        # which the sample of every 19th row misses
+        mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
+        rng = np.random.default_rng(0)
+        a, b = (rng.standard_normal((2, n, sampled_rank)) for n in (mesh.n_points, n_elements))
+        contrib = (a[0] + 1j * a[1]) @ (b[0] + 1j * b[1]).T
+        contrib[1] = rng.standard_normal(n_elements)
+        assert _factor(contrib) is contrib
+        eps = draw_errors(ExcitationErrorModel(0.5), n_elements, [(0, 1, r) for r in range(20)])
+        got = level_fom_batch(_factor(contrib), mesh, eps)
+        for g, w in zip(got, fom_values(mesh, (1.0 + eps) @ contrib.T), strict=True):
+            assert g.tobytes() == w.tobytes()
 
 
 class InlineExecutor:
@@ -444,6 +478,29 @@ class TestToleranceSearch:
         for level, (sigma_db, n, keys) in enumerate(calls[1:], start=1):
             assert sigma_db == level * cfg.step_db and n == 100
             assert keys == [(cfg.rng_seed, level, r) for r in range(cfg.n_mc)]
+
+    def test_numpy_seed_seeds_each_level_in_one_batch(self, wave, lam, monkeypatch):
+        # the config stores an np.int64 seed as an int, so every level's keys are seeded at
+        # once: one default_rng per draw_errors call, none at level 0's zero deviation
+        streams, before = [], []
+        real_draw, real_rng = tolerance.draw_errors, np.random.default_rng
+
+        def recording(model, n, keys):
+            before.append(len(streams))
+            return real_draw(model, n, keys)
+
+        def counting(*args):
+            streams.append(args)
+            return real_rng(*args)
+
+        monkeypatch.setattr(tolerance, "draw_errors", recording)
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        cfg = ToleranceSearchConfig(n_mc=20, rng_seed=np.int64(3), step_db=0.05,
+                                    limits=FomLimits(0.05, 0.2, 2.0))
+        assert type(cfg.rng_seed) is int
+        tolerance_search(0.7 * lam, 591 * lam, wave, cfg, ChamberSpec(tz_radius_lambda=2.0))
+        per_call = np.diff(before + [len(streams)]).tolist()
+        assert len(per_call) > 2 and per_call == [0] + [1] * (len(per_call) - 1)
 
     def test_violation_mask_order(self):
         mask = FomLimits(sigma_mag_max=0.25, r_mag_max=1.0, r_phs_max=10.0).violations(
