@@ -36,7 +36,7 @@ _STUDY = StudyConfig()
 _DEFAULTS: Dict[str, object] = {
     "frequency_hz": WaveSpec().frequency,
     **asdict(ChamberSpec()),
-    "ies_lambda": [round(x, 10) for x in np.arange(0.5, 1.5 + 1e-9, 0.05)],
+    "ies_lambda": [round(float(x), 10) for x in np.arange(0.5, 1.5 + 1e-9, 0.05)],
     "d_lambda": None,  # derived from d_range_lambda/d_step_lambda when absent; excludes them
     "d_range_lambda": [40.0, 2450.0],
     "d_step_lambda": 1.0,
@@ -175,7 +175,9 @@ def load_config(data: Optional[Dict[str, object]] = None,
     lo, hi = cfg["d_range_lambda"]
     d_lambda = (np.arange(lo, hi + 1e-9, float(cfg["d_step_lambda"]))
                 if cfg["d_lambda"] is None else cfg["d_lambda"])
-    with _naming(cfg, "ies_lambda", "d_lambda", "d_range_lambda", "d_step_lambda"):
+    # near frequency_hz 3e-297 (a wavelength of 1e305 m) the axes overflow to inf in meters
+    with _naming(cfg, "frequency_hz", "ies_lambda", "d_lambda", "d_range_lambda",
+                 "d_step_lambda"), np.errstate(over="ignore"):
         grid = SweepGrid(tuple(np.asarray(cfg["ies_lambda"], dtype=float) * lam),
                          tuple(np.asarray(d_lambda, dtype=float) * lam))
     with _naming(cfg, "sigma_step_db", "n_mc_tolerance", "max_sigma_db", "tolerance_fail_rule",

@@ -16,8 +16,10 @@ steps until a level fails; two level-fail rules are available:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -87,26 +89,27 @@ def _pcg64_states(rows: Sequence[tuple]):
 def draw_errors(model: ExcitationErrorModel, n: int, keys: Sequence) -> np.ndarray:
     """One row of n i.i.d. complex errors per key, each part N(0, sigma_linear).
 
-    Row i is ``default_rng(keys[i]).standard_normal((2, n))`` bit for bit. If
-    every key is a non-negative int or a tuple of them, all are seeded at
-    once and one generator is re-keyed per row. At zero deviation no stream
-    is built.
+    Row i is ``default_rng(keys[i]).standard_normal((2, n))`` bit for bit.
+    Each key is a non-negative int or a tuple of them (else TypeError or
+    ValueError); all are seeded at once and one generator is re-keyed per
+    row. At zero deviation no stream is built and no key is checked.
     """
     s = model.sigma_linear
-    if s == 0.0:
-        return np.zeros((len(keys), n), dtype=complex)
-    parts = np.empty((len(keys), 2, n))
     rows = [(k,) if type(k) is int else k for k in keys]
-    if rows and all(type(r) is tuple and all(type(e) is int and e >= 0 for e in r)
-                    for r in rows):
-        gen = np.random.default_rng(keys[0])  # key 0's own stream, re-keyed per row
-        for row, (state, inc) in zip(parts, _pcg64_states(rows)):
-            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                       "uinteger": 0, "state": {"state": state, "inc": inc}}
-            gen.standard_normal(out=row)
-    else:
-        for i, key in enumerate(keys):
-            parts[i] = np.random.default_rng(key).standard_normal((2, n))
+    if s == 0.0 or not rows:
+        return np.zeros((len(rows), n), dtype=complex)
+    if not all(type(r) is tuple and all(type(e) is int and e >= 0 for e in r) for r in rows):
+        for key, row in zip(keys, rows):  # the first bad key names the error
+            if type(row) is not tuple or not all(type(e) is int for e in row):
+                raise TypeError(f"key {key!r} is not a non-negative int or a tuple of them")
+            if min(row, default=0) < 0:
+                raise ValueError(f"key {key!r} has a negative entry")
+    parts = np.empty((len(keys), 2, n))
+    gen = np.random.default_rng(keys[0])  # key 0's own stream, re-keyed per row
+    for row, (state, inc) in zip(parts, _pcg64_states(rows)):
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                   "uinteger": 0, "state": {"state": state, "inc": inc}}
+        gen.standard_normal(out=row)
     parts *= s
     return parts[:, 0] + 1j * parts[:, 1]
 
@@ -139,8 +142,11 @@ class ToleranceResult:
     failing_sigma_db: Optional[float]
 
 
-# Rows of errors in level_fom_batch's largest chunk
-_CHUNK_ROWS = 32
+# Rows of errors in level_fom_batch's largest piece, with contrib's factors and with the
+# full matrix. Each worker keeps the memory of its largest piece: pieces of 8 factored rows
+# peaked 8 MB higher than pieces of 6 on the tolerance benchmark. The full product of 1000
+# rows ran 1.4x (one BLAS thread) to 1.7x (two) slower in pieces of 6 than of 32.
+_PIECE_ROWS, _FULL_PIECE_ROWS = 6, 32
 # _factor's singular-value cut, relative to the largest, its factor tolerance, relative to
 # ||contrib||_F (the factors miss contrib by 1-2e-13 of that on the reference geometries),
 # and the rows per block of its residual check
@@ -177,6 +183,36 @@ def _factor(contrib: np.ndarray):
     return contrib.sum(axis=1), b, v
 
 
+@functools.cache
+def _pool():
+    """The thread pool that forms and scores pieces: one worker per CPU the process may use.
+
+    Built on first use, so importing the CLI loads no ``concurrent.futures``,
+    and kept for the life of the process: pools made and joined per call
+    left each level's fresh threads new malloc arenas, about 8 MB more peak
+    RSS over the five reference searches. A worker thread starts only when
+    a piece finds none idle.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=cpus)
+
+
+def _piece_foms(contrib, mesh: TestZoneMesh, piece: np.ndarray):
+    """FoM triples of one piece of rows: its field product, then ``fom_values``."""
+    if isinstance(contrib, tuple):
+        f0, b, v = contrib
+        values = (piece @ v.T) @ b.T
+        values += f0
+    else:
+        values = (1.0 + piece) @ contrib.T
+    return fom_values(mesh, values)
+
+
 def level_fom_batch(contrib, mesh: TestZoneMesh,
                     eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """FoM triples for a batch of error realizations.
@@ -184,30 +220,30 @@ def level_fom_batch(contrib, mesh: TestZoneMesh,
     ``contrib`` is the (n_points, n_elements) error-free per-element field
     matrix, or its ``_factor`` triple (f0, B, V); ``eps`` is
     (batch, n_elements), one realization per row. Returns per-realization
-    arrays (r_mag, sigma_mag, r_phs), each of length batch. A chunk's
-    fields are (1 + chunk) @ contrib^T, or f0 + (chunk @ V^T) @ B^T.
+    arrays (r_mag, sigma_mag, r_phs), each of length batch. A piece's
+    fields are (1 + piece) @ contrib^T, or f0 + (piece @ V^T) @ B^T.
 
-    The rows go in near-equal chunks of at most _CHUNK_ROWS (100 rows are
-    4 chunks of 25). While one worker thread scores chunk k, this thread
-    forms chunk k + 1's field product, so at most two chunk products are
-    alive at once. There is one worker whatever the CPU count, so the BLAS
-    threads stay free for the product.
+    The rows go in near-equal pieces of at most _PIECE_ROWS with the
+    factors (100 rows are 17 pieces of 5 or 6), _FULL_PIECE_ROWS with the
+    full matrix. Each piece, its product and then its scoring, is one task
+    of ``_pool()``; numpy and BLAS release the interpreter lock for
+    both, so the pieces run on every CPU at once. The results are joined
+    in piece order. On any error the pieces not yet started are cancelled
+    and the running ones awaited before the error is raised.
     """
-    from concurrent.futures import ThreadPoolExecutor  # not loaded by importing the CLI
+    from concurrent.futures import wait
 
-    parts, scoring = [], None
-    with ThreadPoolExecutor(max_workers=1) as pool:  # waits for the worker on any exit
-        for chunk in np.array_split(eps, max(1, -(-len(eps) // _CHUNK_ROWS))):
-            if isinstance(contrib, tuple):
-                f0, b, v = contrib
-                values = (chunk @ v.T) @ b.T
-                values += f0
-            else:
-                values = (1.0 + chunk) @ contrib.T
-            if scoring is not None:
-                parts.append(scoring.result())
-            scoring = pool.submit(fom_values, mesh, values)
-        parts.append(scoring.result())
+    pool = _pool()
+    rows = _PIECE_ROWS if isinstance(contrib, tuple) else _FULL_PIECE_ROWS
+    pieces = np.array_split(eps, max(1, -(-len(eps) // rows)))
+    tasks = [pool.submit(_piece_foms, contrib, mesh, piece) for piece in pieces]
+    try:
+        parts = [task.result() for task in tasks]
+    except BaseException:
+        for task in tasks:
+            task.cancel()
+        wait(tasks)
+        raise
     return tuple(np.concatenate(f) for f in zip(*parts))
 
 
@@ -254,10 +290,11 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     ``distance``. Level 0 is one error-free realization, keyed (seed, 0, 0);
     level k > 0 runs ``n_mc`` fresh ones at k steps. Each level fails per
     ``cfg.fail_rule``. Realization streams are keyed by (seed, level,
-    realization), so results do not depend on evaluation order, chunking or
-    thread count. The fields come from contrib's low-rank factors where
-    ``_factor`` finds them; they agree with the full product to about
-    1e-12 relative.
+    realization), so results do not depend on evaluation order, piece size
+    or thread count; ``level_fom_batch`` scores each level's pieces on
+    every CPU the process may use. The fields come from contrib's low-rank
+    factors where ``_factor`` finds them; they agree with the full product
+    to about 1e-12 relative.
 
     Returns the last passing level and the failing FoM attributed by
     majority vote over the violating realizations at the failing level

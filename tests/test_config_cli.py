@@ -125,6 +125,13 @@ class TestLoadConfig:
         assert again.raw["limits"]["r_mag_db"] == 1.0
         assert again.config_hash() == "9be2a9804778"
 
+    def test_default_ies_axis_is_python_floats(self):
+        # so a message that lists the axis prints plain numbers; the canonical JSON, and
+        # with it the hash, is what it was with numpy floats
+        from otazone.config import _DEFAULTS
+        assert all(type(x) is float for x in _DEFAULTS["ies_lambda"])
+        assert load_config({}).config_hash() == "9be2a9804778"
+
 
 NAN, INF = float("nan"), float("inf")
 
@@ -261,6 +268,9 @@ class TestCliFom:
         # an explicit D axis would silently win over the range keys
         ({"d_lambda": [300, 301], "d_step_lambda": 5, "d_range_lambda": [100, 200]},
          "config error: d_lambda excludes d_range_lambda and d_step_lambda"),
+        # a wavelength of 1e305 m takes the sweep grid in meters past float range
+        ({"frequency_hz": 3e-297}, "config error: bad config (frequency_hz=3e-297, "
+                                   "ies_lambda=[0.5, 0.55, "),
     ])
     def test_bad_value_exits_with_message(self, tmp_path, capsys, config, message):
         with warnings.catch_warnings(record=True) as caught:

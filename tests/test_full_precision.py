@@ -13,8 +13,8 @@ bits. ``tests/data/full_precision.json`` holds, written with ``repr``
   last point of the standard 99 lambda / 8 zone at two geometries, the
   ``evaluate_fom`` triples of two standard geometries, and the
   per-realization FoM triples of every level of a tolerance search with
-  n_mc = 40, a level that ``level_fom_batch`` scores in two chunks of 20
-  (at most 32 rows each). These go through BLAS, which may round
+  n_mc = 40, a level that ``level_fom_batch`` scores in seven pieces of
+  5 or 6 rows on a thread pool. These go through BLAS, which may round
   differently on another host, so they are compared to a relative 1e-11.
 
 Regenerate the file only for an intended output change, with
@@ -180,7 +180,7 @@ def test_stored_values_are_nontrivial():
     assert np.shape(stored["evaluate_fom"]) == (len(STUDY_GEOMETRIES), 3)
     # 199 rows of the standard zone, 3 points each
     assert np.shape([z["real"] for z in stored["standard_zone"]]) == (len(STANDARD_ZONE), 199, 3)
-    # 40 realizations per level: two chunks of 20
+    # 40 realizations per level
     levels = round(SEARCH["max_sigma_db"] / SEARCH["step_db"])
     assert np.shape(stored["tolerance_levels"]) == (levels, SEARCH["n_mc"], 3)
     assert len(np.unique(stored["tolerance_levels"])) == levels * SEARCH["n_mc"] * 3

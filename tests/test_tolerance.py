@@ -1,4 +1,6 @@
 import concurrent.futures
+import json
+import os
 import threading
 import time
 from dataclasses import replace
@@ -8,6 +10,7 @@ import pytest
 
 from otazone import (TIER1, ExcitationErrorModel, FomLimits, ToleranceSearchConfig,
                      ChamberSpec, draw_errors, evaluate_fom, tolerance_search)
+from otazone.cli import main
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, _kernel_blocks, build_mesh, fom_values
@@ -59,18 +62,24 @@ class TestDrawErrors:
         assert np.array_equal(a, b[::-1])
         assert not np.allclose(a[0], a[1])
 
-    @pytest.mark.parametrize("keys", [
-        [0, 2 ** 32 - 1, 17],
-        [[3, 4], [5], []],
-        [(np.int64(3), 4), np.uint32(9), (True, 2)],
-        [7, (7, 1), (), (1, 2, 3, 4, 5, 6), (2 ** 32 - 1,) * 5, (0, 0, 0, 0)],
-        [(5, 6), 2 ** 32, (1, 2 ** 32)],
-        [(5, 6), (1, -1)], [-5],
-        [(5, 6), 1.5], [(1, 2.0)],
+    @pytest.mark.parametrize("keys, other", [
+        ([0, 2 ** 32 - 1, 17], None),
+        ([[3, 4], [5], []], TypeError),
+        ([(np.int64(3), 4), np.uint32(9), (True, 2)], TypeError),
+        ([7, (7, 1), (), (1, 2, 3, 4, 5, 6), (2 ** 32 - 1,) * 5, (0, 0, 0, 0)], None),
+        ([(5, 6), 2 ** 32, (1, 2 ** 32)], None),
+        ([(5, 6), (1, -1)], None), ([-5], None),
+        ([(5, 6), 1.5], None), ([(1, 2.0)], None),
     ], ids=["bare_ints", "lists", "numpy_entries", "mixed_lengths", "beyond_32_bits",
             "negative_entry", "negative_int", "float", "float_entry"])
-    def test_rows_match_default_rng_or_raise_alike(self, keys):
+    def test_rows_match_default_rng_or_raise_alike(self, keys, other):
+        # keys are non-negative ints or tuples of them; other forms that default_rng
+        # accepts (lists, numpy integers, bools) raise ``other``
         m = ExcitationErrorModel(0.3)
+        if other is not None:
+            with pytest.raises(other):
+                draw_errors(m, 9, keys)
+            return
         try:
             want = np.array([np.random.default_rng(k).standard_normal((2, 9)) for k in keys])
         except Exception as exc:
@@ -221,16 +230,7 @@ class TestFactor:
 
 
 class InlineExecutor:
-    """A stand-in for ThreadPoolExecutor that runs each call at once in the caller's thread."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    """A stand-in for the scoring pool that runs each call at once in the caller's thread."""
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
@@ -242,77 +242,133 @@ class InlineExecutor:
 
 
 class FailingSecondProduct:
-    """A contrib whose second chunk product raises; the first is contrib's own."""
+    """A factor B whose second piece product raises; the others are B's own."""
 
     __array_ufunc__ = None  # so ``rows @ self`` calls __rmatmul__
 
-    def __init__(self, contrib):
-        self.contrib, self.products = contrib, 0
+    def __init__(self, b):
+        self.b, self.products, self.lock = b, 0, threading.Lock()
 
     @property
     def T(self):
         return self
 
     def __rmatmul__(self, rows):
-        self.products += 1
-        if self.products == 2:
+        with self.lock:
+            self.products += 1
+            failing = self.products == 2
+        if failing:
             raise RuntimeError("product failed")
-        return rows @ self.contrib.T
+        return rows @ self.b.T
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 class TestChunkOverlap:
-    """level_fom_batch scores chunk k on a worker thread while it forms chunk k + 1."""
+    """level_fom_batch forms and scores its pieces of rows as tasks of a thread pool."""
 
     @pytest.fixture
     def level(self, wave, lam):
         layout = ChamberSpec().layout(0.7 * lam)
         mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
         eps = draw_errors(ExcitationErrorModel(0.3), 100, [(0, 1, r) for r in range(70)])
-        return element_fields(layout, wave, mesh.points), mesh, eps
+        factors = _factor(element_fields(layout, wave, mesh.points))
+        assert isinstance(factors, tuple)  # the search's own form
+        return factors, mesh, eps
 
     @pytest.fixture
     def scoring(self, monkeypatch):
         """Records each fom_values call's thread and rows; ``active`` counts calls running."""
-        calls, active, real = [], [0], tolerance.fom_values
+        calls, active, lock, real = [], [0], threading.Lock(), tolerance.fom_values
 
         def recording(mesh, values):
-            active[0] += 1
-            try:
+            with lock:
+                active[0] += 1
                 calls.append((threading.get_ident(), len(values)))
+            try:
                 time.sleep(0.05)
                 return real(mesh, values)
             finally:
-                active[0] -= 1
+                with lock:
+                    active[0] -= 1
 
         monkeypatch.setattr(tolerance, "fom_values", recording)
         return calls, active
 
+    @staticmethod
+    def pieces(n):
+        """The row counts of level_fom_batch's pieces of n rows of the factors, in order."""
+        return [len(p) for p in np.array_split(np.empty(n), -(-n // tolerance._PIECE_ROWS))]
+
+    def assert_stopped(self, started, active):
+        """Nothing runs after the error, and the pieces not started by then never run.
+
+        ``started()`` counts the pieces started so far.
+        """
+        before = started()
+        assert active == [0]
+        time.sleep(0.2)
+        assert started() == before < len(self.pieces(70))
+
     def test_matches_synchronous_scoring(self, level, scoring, monkeypatch):
         calls, _ = scoring
-        threaded = level_fom_batch(*level)
-        assert [n for _, n in calls] == [24, 23, 23]  # 70 rows: three near-equal chunks
-        assert threading.get_ident() not in {t for t, _ in calls}
+        pooled = level_fom_batch(*level)
+        assert sorted(n for _, n in calls) == sorted(self.pieces(70))
+        assert max(self.pieces(70)) <= tolerance._PIECE_ROWS
         calls.clear()
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(tolerance, "_pool", InlineExecutor)
         inline = level_fom_batch(*level)
-        assert calls == [(threading.get_ident(), n) for n in (24, 23, 23)]
-        for got, want in zip(threaded, inline):
+        assert calls == [(threading.get_ident(), n) for n in self.pieces(70)]
+        for got, want in zip(pooled, inline, strict=True):
             assert got.shape == (70,) and got.tobytes() == want.tobytes()
 
     def test_worker_error_reaches_caller(self, level, scoring):
         calls, active = scoring
         contrib, mesh, eps = level
-        eps[30] = -1.0  # realization 30, in the second chunk, has zero field
+        eps[12] = -1.0  # realization 12, in the third piece, has zero field
         with pytest.raises(ValueError, match="zero-magnitude"):
             level_fom_batch(contrib, mesh, eps)
-        assert active == [0] and [n for _, n in calls] == [24, 23]
+        self.assert_stopped(lambda: len(calls), active)
 
     def test_no_chunk_left_running_after_product_error(self, level, scoring):
         calls, active = scoring
         contrib, mesh, eps = level
+        f0, b, v = contrib
+        failing = FailingSecondProduct(b)
         with pytest.raises(RuntimeError, match="product failed"):
-            level_fom_batch(FailingSecondProduct(contrib), mesh, eps)
-        assert active == [0] and [n for _, n in calls] == [24]
+            level_fom_batch((f0, failing, v), mesh, eps)
+        self.assert_stopped(lambda: failing.products, active)
+
+    @pytest.mark.skipif(CPUS < 2, reason="needs two CPUs")
+    def test_two_pieces_run_at_once(self, level, monkeypatch):
+        # each piece waits at the barrier until a second piece reaches it
+        barrier, real = threading.Barrier(2, timeout=30), tolerance.fom_values
+
+        def meeting(mesh, values):
+            barrier.wait()
+            return real(mesh, values)
+
+        monkeypatch.setattr(tolerance, "fom_values", meeting)
+        contrib, mesh, eps = level
+        rows = 2 * tolerance._PIECE_ROWS  # two pieces
+        got = level_fom_batch(contrib, mesh, eps[:rows])
+        assert len(got[0]) == rows and not barrier.broken
+
+    def test_cli_csv_matches_inline_scoring(self, tmp_path, monkeypatch):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"geometries_lambda": [[0.7, 591.0], [1.35, 286.0]],
+                                      "tz_radius_lambda": 2.0, "n_mc_tolerance": 30,
+                                      "sigma_step_db": 0.05, "seed": 3}))
+
+        def run(name):
+            out = tmp_path / name
+            assert main(["--config", str(config), "-o", str(out), "tolerance"]) == 0
+            return out.read_bytes()
+
+        pooled = run("pool.csv")
+        monkeypatch.setattr(tolerance, "_pool", InlineExecutor)
+        assert run("inline.csv") == pooled
 
     @pytest.mark.parametrize("fail_rule, rows", [("any", [70]), ("majority", [70 - 35 + 1])])
     def test_passing_level_rows_scored(self, level, monkeypatch, fail_rule, rows):
