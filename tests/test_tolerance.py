@@ -1,9 +1,12 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,9 +265,6 @@ class FailingSecondProduct:
         return rows @ self.b.T
 
 
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
 class TestChunkOverlap:
     """level_fom_batch forms and scores its pieces of rows as tasks of a thread pool."""
 
@@ -296,6 +296,13 @@ class TestChunkOverlap:
         monkeypatch.setattr(tolerance, "fom_values", recording)
         return calls, active
 
+    @pytest.fixture
+    def two_workers(self, monkeypatch):
+        """A two-worker pool in place of ``_pool()``, whatever the CPU and BLAS thread counts."""
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            monkeypatch.setattr(tolerance, "_pool", lambda: pool)
+            yield
+
     @staticmethod
     def pieces(n):
         """The row counts of level_fom_batch's pieces of n rows of the factors, in order."""
@@ -323,7 +330,7 @@ class TestChunkOverlap:
         for got, want in zip(pooled, inline, strict=True):
             assert got.shape == (70,) and got.tobytes() == want.tobytes()
 
-    def test_worker_error_reaches_caller(self, level, scoring):
+    def test_worker_error_reaches_caller(self, level, scoring, two_workers):
         calls, active = scoring
         contrib, mesh, eps = level
         eps[12] = -1.0  # realization 12, in the third piece, has zero field
@@ -331,7 +338,7 @@ class TestChunkOverlap:
             level_fom_batch(contrib, mesh, eps)
         self.assert_stopped(lambda: len(calls), active)
 
-    def test_no_chunk_left_running_after_product_error(self, level, scoring):
+    def test_no_chunk_left_running_after_product_error(self, level, scoring, two_workers):
         calls, active = scoring
         contrib, mesh, eps = level
         f0, b, v = contrib
@@ -340,8 +347,7 @@ class TestChunkOverlap:
             level_fom_batch((f0, failing, v), mesh, eps)
         self.assert_stopped(lambda: failing.products, active)
 
-    @pytest.mark.skipif(CPUS < 2, reason="needs two CPUs")
-    def test_two_pieces_run_at_once(self, level, monkeypatch):
+    def test_two_pieces_run_at_once(self, level, monkeypatch, two_workers):
         # each piece waits at the barrier until a second piece reaches it
         barrier, real = threading.Barrier(2, timeout=30), tolerance.fom_values
 
@@ -354,6 +360,26 @@ class TestChunkOverlap:
         rows = 2 * tolerance._PIECE_ROWS  # two pieces
         got = level_fom_batch(contrib, mesh, eps[:rows])
         assert len(got[0]) == rows and not barrier.broken
+
+    @pytest.mark.parametrize("cpus, blas, workers", [(2, 1, 2), (2, 2, 1), (1, 1, 1), (8, 2, 4),
+                                                     (8, 3, 2), (2, 4, 1), (4, None, 1)])
+    def test_pool_leaves_blas_its_cpus(self, monkeypatch, cpus, blas, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(tolerance, "_blas_threads", lambda: blas)
+        assert tolerance._workers() == workers
+
+    def test_blas_thread_count_is_read(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        code = "from otazone import tolerance; print(tolerance._blas_threads())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout.strip()
+        if out == "None":
+            pytest.skip("numpy's BLAS does not report its thread count")
+        assert out == "1"
 
     def test_cli_csv_matches_inline_scoring(self, tmp_path, monkeypatch):
         config = tmp_path / "cfg.json"
