@@ -58,8 +58,8 @@ def make_taper(n_elements: int, n_edge: int, depth_db: float, endpoint: str) -> 
     """
     if not 2 * checked_int("n_edge", n_edge, 0) <= n_elements:
         raise ValueError(f"n_edge={n_edge} must satisfy 2*n_edge <= {n_elements}")
-    if not depth_db <= 0:
-        raise ValueError(f"depth_db={depth_db} must be <= 0")
+    if not -np.inf < depth_db <= 0:
+        raise ValueError(f"depth_db={depth_db} must be finite and <= 0")
     if endpoint not in ("inclusive", "exclusive"):
         raise ValueError(f"unknown endpoint convention {endpoint!r}")
 
@@ -92,8 +92,8 @@ class ArrayLayout:
         if not (np.isfinite(self.ies) and self.ies > 0):
             raise ValueError("ies must be positive and finite")
         taper = np.asarray(self.taper, dtype=float)
-        if taper.shape != (self.n_elements,):
-            raise ValueError(f"taper must have shape ({self.n_elements},)")
+        if taper.shape != (self.n_elements,) or not np.isfinite(taper).all():
+            raise ValueError(f"taper must have shape ({self.n_elements},) and finite entries")
         object.__setattr__(self, "taper", taper)
 
     @property
@@ -111,8 +111,9 @@ def element_fields(layout: ArrayLayout, wave: WaveSpec,
     """Per-element field contributions t_i * exp(-j*k*r_i) / (4*pi*r_i).
 
     ``points`` has shape (M, 2); the result has shape (M, n_elements).
-    The tolerance search applies excitation errors to this matrix, which it
-    builds from the row-lattice kernel where it can, as E = contrib @ (1 + eps).
+    The tolerance search builds this matrix, contrib, from the row-lattice
+    kernel where it can, and applies excitation errors through its low-rank
+    factors as E = f0 + (eps @ V^T) @ B^T, with contrib ~ B @ V.
     A distance that is not finite, or so large that float64 resolves k*r
     more coarsely than _PHASE_RESOLUTION, raises ValueError before any
     phase is taken. Only r, k*r and the result are allocated.

@@ -142,11 +142,10 @@ class ToleranceResult:
     failing_sigma_db: Optional[float]
 
 
-# Rows of errors in level_fom_batch's largest piece, with contrib's factors and with the
-# full matrix. Each worker keeps the memory of its largest piece: pieces of 8 factored rows
-# peaked 8 MB higher than pieces of 6 on the tolerance benchmark. The full product of 1000
-# rows ran 1.4x (one BLAS thread) to 1.7x (two) slower in pieces of 6 than of 32.
-_PIECE_ROWS, _FULL_PIECE_ROWS = 6, 32
+# Rows of errors in level_fom_batch's largest piece. Each worker keeps the memory of its
+# largest piece: pieces of 8 rows peaked 8 MB higher than pieces of 6 on the tolerance
+# benchmark.
+_PIECE_ROWS = 6
 # _factor's singular-value cut, relative to the largest, its factor tolerance, relative to
 # ||contrib||_F (the factors miss contrib by 1-2e-13 of that on the reference geometries),
 # and the rows per block of its residual check
@@ -154,33 +153,32 @@ _RANK_CUT, _FACTOR_TOL, _CHECK_ROWS = 1e-13, 1e-12, 1024
 
 
 def _factor(contrib: np.ndarray):
-    """``(f0, B, V)`` with contrib ~ B @ V and f0 = contrib.sum(axis=1), else ``contrib``.
+    """``(f0, B, V)`` with contrib ~ B @ V and f0 = contrib.sum(axis=1), the error-free field.
 
     V holds the right singular vectors of a row sample of contrib (every
     s-th row, with s leaving at least 4 * n_elements rows) whose singular
-    values exceed _RANK_CUT of the largest, and B = contrib @ V^H; f0 is
-    the error-free field. ``contrib`` itself is returned if V keeps all
-    n_elements rows, or if ||contrib - B @ V||_F exceeds _FACTOR_TOL of
-    ||contrib||_F. Both norms are summed over blocks of _CHECK_ROWS rows
-    scaled by the top sample singular value, so no square overflows and
-    no temporary is as large as contrib.
+    values exceed _RANK_CUT of the largest, and B = contrib @ V^H. B is
+    contrib itself and V the identity if V keeps all n_elements rows, or
+    if ||contrib - B @ V||_F exceeds _FACTOR_TOL of ||contrib||_F. Both
+    norms are summed over blocks of _CHECK_ROWS rows scaled by the top
+    sample singular value, so no square overflows and no temporary is as
+    large as contrib.
     """
     n_points, n_elements = contrib.shape
     _, s, vh = np.linalg.svd(contrib[::max(1, n_points // (4 * n_elements))],
                              full_matrices=False)
-    v = vh[s > _RANK_CUT * s[0]]
-    if len(v) == n_elements:  # no lower rank to work in
-        return contrib
-    b = (v.conj() @ contrib.T).T  # contrib @ v^H peaks ~47 MB higher with two BLAS threads
-    resid = norm = 0.0
-    for lo in range(0, n_points, _CHECK_ROWS):
-        rows = contrib[lo:lo + _CHECK_ROWS] / s[0]
-        norm += np.vdot(rows, rows).real
-        rows -= b[lo:lo + _CHECK_ROWS] @ (v / s[0])
-        resid += np.vdot(rows, rows).real
-    if resid > _FACTOR_TOL ** 2 * norm:
-        return contrib
-    return contrib.sum(axis=1), b, v
+    v, f0 = vh[s > _RANK_CUT * s[0]], contrib.sum(axis=1)
+    if len(v) < n_elements:  # else there is no lower rank to work in
+        b = (v.conj() @ contrib.T).T  # contrib @ v^H peaks ~47 MB higher with two BLAS threads
+        resid = norm = 0.0
+        for lo in range(0, n_points, _CHECK_ROWS):
+            rows = contrib[lo:lo + _CHECK_ROWS] / s[0]
+            norm += np.vdot(rows, rows).real
+            rows -= b[lo:lo + _CHECK_ROWS] @ (v / s[0])
+            resid += np.vdot(rows, rows).real
+        if resid <= _FACTOR_TOL ** 2 * norm:
+            return f0, b, v
+    return f0, contrib, np.eye(n_elements)
 
 
 def _blas_threads() -> Optional[int]:
@@ -231,14 +229,11 @@ def _pool():
     return ThreadPoolExecutor(max_workers=_workers())
 
 
-def _piece_foms(contrib, mesh: TestZoneMesh, piece: np.ndarray):
-    """FoM triples of one piece of rows: its field product, then ``fom_values``."""
-    if isinstance(contrib, tuple):
-        f0, b, v = contrib
-        values = (piece @ v.T) @ b.T
-        values += f0
-    else:
-        values = (1.0 + piece) @ contrib.T
+def _piece_foms(factors, mesh: TestZoneMesh, piece: np.ndarray):
+    """FoM triples of one piece of rows: fields f0 + (piece @ V^T) @ B^T, then ``fom_values``."""
+    f0, b, v = factors
+    values = (piece @ v.T) @ b.T
+    values += f0
     return fom_values(mesh, values)
 
 
@@ -246,26 +241,26 @@ def level_fom_batch(contrib, mesh: TestZoneMesh,
                     eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """FoM triples for a batch of error realizations.
 
-    ``contrib`` is the (n_points, n_elements) error-free per-element field
-    matrix, or its ``_factor`` triple (f0, B, V); ``eps`` is
-    (batch, n_elements), one realization per row. Returns per-realization
-    arrays (r_mag, sigma_mag, r_phs), each of length batch. A piece's
-    fields are (1 + piece) @ contrib^T, or f0 + (piece @ V^T) @ B^T.
+    ``contrib`` is the ``_factor`` triple (f0, B, V) of the (n_points,
+    n_elements) error-free per-element field matrix, or that matrix, which
+    is factored first; ``eps`` is (batch, n_elements), one realization per
+    row. Returns per-realization arrays (r_mag, sigma_mag, r_phs), each of
+    length batch.
 
-    The rows go in near-equal pieces of at most _PIECE_ROWS with the
-    factors (100 rows are 17 pieces of 5 or 6), _FULL_PIECE_ROWS with the
-    full matrix. Each piece, its product and then its scoring, is one task
-    of ``_pool()``; numpy and BLAS release the interpreter lock for
-    both, so with BLAS on one thread the pieces run on every CPU at once,
-    and with BLAS on every CPU one worker runs them. The results are joined
-    in piece order. On any error the pieces not yet started are cancelled
-    and the running ones awaited before the error is raised.
+    The rows go in near-equal pieces of at most _PIECE_ROWS (100 rows are
+    17 pieces of 5 or 6). Each piece, its product and then its scoring, is
+    one task of ``_pool()``; numpy and BLAS release the interpreter lock
+    for both, so with BLAS on one thread the pieces run on every CPU at
+    once, and with BLAS on every CPU one worker runs them. The results are
+    joined in piece order. On any error the pieces not yet started are
+    cancelled and the running ones awaited before the error is raised.
     """
     from concurrent.futures import wait
 
+    if not isinstance(contrib, tuple):
+        contrib = _factor(contrib)
     pool = _pool()
-    rows = _PIECE_ROWS if isinstance(contrib, tuple) else _FULL_PIECE_ROWS
-    pieces = np.array_split(eps, max(1, -(-len(eps) // rows)))
+    pieces = np.array_split(eps, max(1, -(-len(eps) // _PIECE_ROWS)))
     tasks = [pool.submit(_piece_foms, contrib, mesh, piece) for piece in pieces]
     try:
         parts = [task.result() for task in tasks]
@@ -277,7 +272,7 @@ def level_fom_batch(contrib, mesh: TestZoneMesh,
     return tuple(np.concatenate(f) for f in zip(*parts))
 
 
-def _failing_level_counts(contrib, mesh, eps, cfg) -> Optional[np.ndarray]:
+def _failing_level_counts(factors, mesh, eps, cfg) -> Optional[np.ndarray]:
     """Per-FoM violation counts over the realizations (rows of ``eps``) of a failing level.
 
     None if the level passes. ``level_fom_batch`` scores the first
@@ -288,9 +283,9 @@ def _failing_level_counts(contrib, mesh, eps, cfg) -> Optional[np.ndarray]:
     n = len(eps)
     need_fail = 1 if cfg.fail_rule == "any" else (n + 1) // 2
     stride = n - need_fail + 1
-    viol = cfg.limits.violations(*level_fom_batch(contrib, mesh, eps[:stride]))
+    viol = cfg.limits.violations(*level_fom_batch(factors, mesh, eps[:stride]))
     if stride < n and viol.any():
-        viol = np.hstack([viol, cfg.limits.violations(*level_fom_batch(contrib, mesh,
+        viol = np.hstack([viol, cfg.limits.violations(*level_fom_batch(factors, mesh,
                                                                        eps[stride:]))])
     return viol.sum(axis=1) if viol.any(axis=0).sum() >= need_fail else None
 
@@ -322,9 +317,8 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     ``cfg.fail_rule``. Realization streams are keyed by (seed, level,
     realization), so results do not depend on evaluation order, piece size
     or thread count; ``level_fom_batch`` scores each level's pieces on
-    the CPUs BLAS leaves free. The fields come from contrib's low-rank
-    factors where ``_factor`` finds them; they agree with the full product
-    to about 1e-12 relative.
+    the CPUs BLAS leaves free, from contrib's ``_factor`` triple; its
+    fields agree with the full product to about 1e-12 relative.
 
     Returns the last passing level and the failing FoM attributed by
     majority vote over the violating realizations at the failing level
@@ -334,14 +328,14 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     """
     layout = chamber.layout(ies)
     mesh = build_mesh(chamber.zone(wave, distance))
-    contrib = _factor(_contrib(layout, wave, mesh))  # kept whole only if it does not factor
+    factors = _factor(_contrib(layout, wave, mesh))
     for level in itertools.count():
         sigma_db = level * cfg.step_db
         if sigma_db > cfg.max_sigma_db + 1e-12:
             return ToleranceResult((level - 1) * cfg.step_db, None, None)
         keys = [(cfg.rng_seed, level, r) for r in range(cfg.n_mc if level else 1)]
         eps = draw_errors(ExcitationErrorModel(sigma_db), layout.n_elements, keys)
-        counts = _failing_level_counts(contrib, mesh, eps, cfg)
+        counts = _failing_level_counts(factors, mesh, eps, cfg)
         if counts is not None:
             failing = FOM_ORDER[int(np.argmax(counts))]
             return ToleranceResult(max(level - 1, 0) * cfg.step_db, failing, sigma_db)

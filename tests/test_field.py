@@ -47,6 +47,14 @@ class TestMakeTaper:
         with pytest.raises(ValueError):
             make_taper(100, 25, 1.0, "inclusive")
 
+    @pytest.mark.parametrize("endpoint", ["inclusive", "exclusive"])
+    @pytest.mark.parametrize("depth_db", [-np.inf, np.nan])
+    def test_rejects_non_finite_depth(self, depth_db, endpoint):
+        with pytest.raises(ValueError, match="must be finite and <= 0"):
+            make_taper(100, 25, depth_db, endpoint)
+        with pytest.raises(ValueError, match="must be finite and <= 0"):
+            ChamberSpec(taper_depth_db=depth_db, taper_endpoint=endpoint)
+
 
 class TestFieldAt:
     def test_single_element_closed_form(self, wave, lam):
@@ -159,6 +167,11 @@ class TestLayoutInvariants:
     def test_rejects_bad_spacing(self, ies):
         with pytest.raises(ValueError, match="ies must be positive and finite"):
             ArrayLayout(3, ies, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_taper(self, bad):
+        with pytest.raises(ValueError, match=r"taper must have shape \(3,\) and finite entries"):
+            ArrayLayout(3, 1e-2, [1.0, bad, 1.0])
 
     def test_length(self, lam):
         assert ChamberSpec().layout(0.7 * lam).length == pytest.approx(99 * 0.7 * lam, rel=1e-12)

@@ -1,5 +1,6 @@
 """Every library module uses what it imports and reads no other module's private names,
-and every public name a module defines is used by the library or a demo.
+every private name a module defines is read in that module, and every public name a
+module defines is used by the library or a demo.
 
 ``src/otazone/__init__.py`` only re-exports, so it is left out. No module
 is imported or run; each is parsed with ``ast``.
@@ -61,17 +62,24 @@ def test_every_allowed_private_import_is_still_made():
     assert set(PRIVATE_ALLOWED) <= made
 
 
-def public_names(tree):
-    """Names a module binds at top level by def, class or assignment, less the private ones."""
+def top_level_names(tree):
+    """Names a module binds at top level by def, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        yield from (name for name in names if not name.startswith("_"))
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_private_name_is_read_in_its_module(path):
+    tree = parse(path)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    dead = sorted(name for name in top_level_names(tree)
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+    assert not dead, f"{path.name} defines {dead} and never reads them"
 
 
 def test_every_public_name_is_used():
@@ -83,6 +91,6 @@ def test_every_public_name_is_used():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert len(DEMOS) >= 4
-    unused = sorted(f"{p.stem}.{name}" for p in MODULES for name in public_names(parse(p))
-                    if name not in used)
+    unused = sorted(f"{p.stem}.{name}" for p in MODULES for name in top_level_names(parse(p))
+                    if not name.startswith("_") and name not in used)
     assert not unused, f"defined but used by no library module or demo: {unused}"

@@ -200,7 +200,7 @@ class TestKernelContrib:
 
 
 class TestFactor:
-    """The search's fields from contrib's low-rank factors against the full product."""
+    """The search's fields from contrib's factors against the full product."""
 
     @pytest.mark.parametrize("ies, d, radius", [(ies, d, 99 / 8) for ies, d in
                                                 DEFAULT_GEOMETRIES_LAMBDA] + [(0.7, 591.0, 2.0)])
@@ -209,15 +209,15 @@ class TestFactor:
         mesh = build_mesh(chamber.zone(wave, d * lam))
         contrib = _contrib(chamber.layout(ies * lam), wave, mesh)
         factors = _factor(contrib)
-        assert isinstance(factors, tuple) and len(factors[2]) < 50
+        assert len(factors[2]) < 50
         eps = np.vstack([draw_errors(ExcitationErrorModel(sigma_db), 100,
                                      [(0, 1, r) for r in range(8)])
                          for sigma_db in (0.05, 0.5, 2.0)])
         np.testing.assert_allclose(level_fom_batch(factors, mesh, eps),
-                                   level_fom_batch(contrib, mesh, eps), rtol=1e-11, atol=0)
+                                   fom_values(mesh, (1.0 + eps) @ contrib.T), rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("n_elements, sampled_rank", [(100, 100), (10, 2)])
-    def test_unfactored_contrib_keeps_full_product(self, lam, n_elements, sampled_rank):
+    def test_unfactored_contrib_is_identity_factors(self, lam, n_elements, sampled_rank):
         # (100, 100): full rank, no lower rank to work in; (10, 2): rank 2 but for row 1,
         # which the sample of every 19th row misses
         mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
@@ -225,11 +225,21 @@ class TestFactor:
         a, b = (rng.standard_normal((2, n, sampled_rank)) for n in (mesh.n_points, n_elements))
         contrib = (a[0] + 1j * a[1]) @ (b[0] + 1j * b[1]).T
         contrib[1] = rng.standard_normal(n_elements)
-        assert _factor(contrib) is contrib
+        f0, b, v = _factor(contrib)
+        assert f0.tobytes() == contrib.sum(axis=1).tobytes()
+        assert b is contrib and np.array_equal(v, np.eye(n_elements))
         eps = draw_errors(ExcitationErrorModel(0.5), n_elements, [(0, 1, r) for r in range(20)])
-        got = level_fom_batch(_factor(contrib), mesh, eps)
-        for g, w in zip(got, fom_values(mesh, (1.0 + eps) @ contrib.T), strict=True):
-            assert g.tobytes() == w.tobytes()
+        np.testing.assert_allclose(level_fom_batch((f0, b, v), mesh, eps),
+                                   fom_values(mesh, (1.0 + eps) @ contrib.T), rtol=1e-12, atol=0)
+
+    def test_raw_matrix_is_factored_first(self, wave, lam):
+        layout = ChamberSpec().layout(0.7 * lam)
+        mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
+        contrib = element_fields(layout, wave, mesh.points)
+        eps = draw_errors(ExcitationErrorModel(0.3), 100, [(0, 1, r) for r in range(20)])
+        for got, want in zip(level_fom_batch(contrib, mesh, eps),
+                             level_fom_batch(_factor(contrib), mesh, eps), strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 class InlineExecutor:
@@ -273,9 +283,7 @@ class TestChunkOverlap:
         layout = ChamberSpec().layout(0.7 * lam)
         mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
         eps = draw_errors(ExcitationErrorModel(0.3), 100, [(0, 1, r) for r in range(70)])
-        factors = _factor(element_fields(layout, wave, mesh.points))
-        assert isinstance(factors, tuple)  # the search's own form
-        return factors, mesh, eps
+        return _factor(element_fields(layout, wave, mesh.points)), mesh, eps
 
     @pytest.fixture
     def scoring(self, monkeypatch):
