@@ -1,10 +1,9 @@
 """Run configuration: JSON parsing, defaults, validation, canonical form.
 
-Geometry keys are wavelength-denominated (``*_lambda``); ``load_config``
-converts them to meters and builds every run object once. The library
-type that owns a value checks it; this module checks types, the keys no
-such type reads, and rejects unknown keys so a typo cannot fall back to a
-default.
+Geometry keys are wavelength-denominated (``*_lambda``); ``load_config`` converts them to
+meters and builds every run object once, from a table of its keys and fields. The library
+type that owns a value checks it; this module checks types and the keys no such type reads,
+and rejects unknown keys so a typo cannot fall back to a default.
 """
 
 from __future__ import annotations
@@ -29,33 +28,45 @@ from .tolerance import ToleranceSearchConfig
 DEFAULT_GEOMETRIES_LAMBDA: Tuple[Tuple[float, float], ...] = (
     (1.35, 286.0), (1.2, 441.0), (1.0, 469.0), (0.7, 564.0), (0.7, 591.0))
 
-# Library defaults own every value they share with the config; the sweep
-# grid axes and the geometry table are the config's own.
-_TOL = ToleranceSearchConfig()
-_STUDY = StudyConfig()
+
+def _same(*keys: str) -> Dict[str, str]:
+    return {k: k for k in keys}
+
+
+# Each run object the config builds field for field, as (class, {config key: field}), its
+# keys in the order a bad value's message names them; then the keys of the limits object.
+_CHAMBER_TABLE = (ChamberSpec, _same(*asdict(ChamberSpec())))
+_TOLERANCE_TABLE = (ToleranceSearchConfig, {
+    "sigma_step_db": "step_db", "n_mc_tolerance": "n_mc", **_same("max_sigma_db"),
+    "tolerance_fail_rule": "fail_rule", "seed": "rng_seed"})
+_DUT_TABLE = (DutArraySpec, {"dut_elements": "n_elements", "dut_ies_lambda": "ies_lambda"})
+_STUDY_TABLE = (StudyConfig, {**_same("snr_db", "sigma_dut_db", "alpha_offsets_deg"),
+                              "n_mc_precode": "n_mc", "seed": "rng_seed"})
+_LIMIT_FIELDS = {"sigma_mag_db": "sigma_mag_max", "r_mag_db": "r_mag_max",
+                 "r_phs_deg": "r_phs_max"}
+
+
+def _defaults(cls, fields: Dict[str, str]) -> Dict[str, object]:
+    """Each key's value in the library default ``cls()``, a tuple as a list."""
+    obj = cls()
+    return {k: list(v) if isinstance(v := getattr(obj, f), tuple) else v
+            for k, f in fields.items()}
+
+
+# Shared values are the run objects' library defaults; grid axes and geometries are the config's.
 _DEFAULTS: Dict[str, object] = {
     "frequency_hz": WaveSpec().frequency,
-    **asdict(ChamberSpec()),
+    **_defaults(*_CHAMBER_TABLE),
     "ies_lambda": [round(float(x), 10) for x in np.arange(0.5, 1.5 + 1e-9, 0.05)],
     "d_lambda": None,  # derived from d_range_lambda/d_step_lambda when absent; excludes them
     "d_range_lambda": [40.0, 2450.0],
     "d_step_lambda": 1.0,
     "geometries_lambda": [list(g) for g in DEFAULT_GEOMETRIES_LAMBDA],
-    "limits": {"sigma_mag_db": TIER1.sigma_mag_max, "r_mag_db": TIER1.r_mag_max,
-               "r_phs_deg": TIER1.r_phs_max},
-    "sigma_step_db": _TOL.step_db,
-    "n_mc_tolerance": _TOL.n_mc,
-    "tolerance_fail_rule": _TOL.fail_rule,
-    "max_sigma_db": _TOL.max_sigma_db,
-    "snr_db": list(_STUDY.snr_db),
-    "sigma_dut_db": list(_STUDY.sigma_dut_db),
-    "alpha_offsets_deg": list(_STUDY.alpha_offsets_deg),
-    "n_mc_precode": _STUDY.n_mc,
-    "dut_elements": _STUDY.dut.n_elements,
-    "dut_ies_lambda": _STUDY.dut.ies_lambda,
-    "seed": _TOL.rng_seed,
+    "limits": _defaults(lambda: TIER1, _LIMIT_FIELDS),
+    **_defaults(*_TOLERANCE_TABLE),
+    **_defaults(*_STUDY_TABLE),
+    **_defaults(*_DUT_TABLE),
 }
-_CHAMBER_KEYS = tuple(asdict(ChamberSpec()))
 
 
 class ConfigError(ValueError):
@@ -115,23 +126,6 @@ def _check_types(cfg: Dict[str, object]) -> None:
             raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
-def _validate(cfg: Dict[str, object]) -> None:
-    """Types, and the values that no run object checks."""
-    _check_types(cfg)
-    if len(cfg["d_range_lambda"]) != 2 or cfg["d_range_lambda"][0] > cfg["d_range_lambda"][1]:
-        raise ConfigError("d_range_lambda must be [lo, hi] with lo <= hi")
-    if cfg["d_step_lambda"] <= 0:
-        raise ConfigError("d_step_lambda must be positive")
-    extra = set(cfg["limits"]) - set(_DEFAULTS["limits"])
-    if extra:
-        raise ConfigError(f"unknown limit keys: {sorted(extra)}")
-    if not cfg["geometries_lambda"]:
-        raise ConfigError("geometries_lambda must list at least one [ies_lambda, d_lambda]")
-    for g in cfg["geometries_lambda"]:
-        if len(g) != 2 or g[0] <= 0 or g[1] <= 0:
-            raise ConfigError(f"bad geometry entry {g}; expected [ies_lambda, d_lambda] > 0")
-
-
 @contextmanager
 def _naming(cfg: Dict[str, object], *keys: str) -> Iterator[None]:
     """Report a ValueError of the run object built inside as a ConfigError naming its keys."""
@@ -140,6 +134,13 @@ def _naming(cfg: Dict[str, object], *keys: str) -> Iterator[None]:
     except ValueError as exc:
         named = ", ".join(f"{k}={cfg[k]!r}" for k in keys)
         raise ConfigError(f"bad config ({named}): {exc}") from exc
+
+
+def _build(cfg: Dict[str, object], table, **objects: object):
+    """The table's run object from its config keys and ``objects``; a bad value names the keys."""
+    cls, fields = table
+    with _naming(cfg, *fields):
+        return cls(**{f: cfg[k] for k, f in fields.items()}, **objects)
 
 
 def load_config(data: Optional[Dict[str, object]] = None,
@@ -162,16 +163,20 @@ def load_config(data: Optional[Dict[str, object]] = None,
         raise ConfigError(f"d_lambda excludes {' and '.join(ranged)}; give one or the other")
     cfg = copy.deepcopy(_DEFAULTS)
     cfg.update(data)
-    _validate(cfg)
+    _check_types(cfg)
     with _naming(cfg, "frequency_hz"):
         wave = WaveSpec(frequency=float(cfg["frequency_hz"]))
     lam = wave.wavelength
-    with _naming(cfg, *_CHAMBER_KEYS):
-        chamber = ChamberSpec(**{k: cfg[k] for k in _CHAMBER_KEYS})
-    lim = cfg["limits"]
+    chamber = _build(cfg, _CHAMBER_TABLE)
+    extra = set(cfg["limits"]) - set(_LIMIT_FIELDS)
+    if extra:
+        raise ConfigError(f"unknown limit keys: {sorted(extra)}")
     with _naming(cfg, "limits"):
-        limits = FomLimits(sigma_mag_max=float(lim["sigma_mag_db"]),
-                           r_mag_max=float(lim["r_mag_db"]), r_phs_max=float(lim["r_phs_deg"]))
+        limits = FomLimits(**{f: float(cfg["limits"][k]) for k, f in _LIMIT_FIELDS.items()})
+    if len(cfg["d_range_lambda"]) != 2 or cfg["d_range_lambda"][0] > cfg["d_range_lambda"][1]:
+        raise ConfigError("d_range_lambda must be [lo, hi] with lo <= hi")
+    if cfg["d_step_lambda"] <= 0:
+        raise ConfigError("d_step_lambda must be positive")
     lo, hi = cfg["d_range_lambda"]
     d_lambda = (np.arange(lo, hi + 1e-9, float(cfg["d_step_lambda"]))
                 if cfg["d_lambda"] is None else cfg["d_lambda"])
@@ -180,18 +185,12 @@ def load_config(data: Optional[Dict[str, object]] = None,
                  "d_step_lambda"), np.errstate(over="ignore"):
         grid = SweepGrid(tuple(np.asarray(cfg["ies_lambda"], dtype=float) * lam),
                          tuple(np.asarray(d_lambda, dtype=float) * lam))
-    with _naming(cfg, "sigma_step_db", "n_mc_tolerance", "max_sigma_db", "tolerance_fail_rule",
-                 "seed"):
-        tolerance = ToleranceSearchConfig(
-            step_db=cfg["sigma_step_db"], n_mc=cfg["n_mc_tolerance"], limits=limits,
-            rng_seed=cfg["seed"], max_sigma_db=cfg["max_sigma_db"],
-            fail_rule=cfg["tolerance_fail_rule"])
-    with _naming(cfg, "dut_elements", "dut_ies_lambda"):
-        dut = DutArraySpec(n_elements=cfg["dut_elements"], ies_lambda=cfg["dut_ies_lambda"])
-    with _naming(cfg, "snr_db", "sigma_dut_db", "alpha_offsets_deg", "n_mc_precode", "seed"):
-        study = StudyConfig(
-            snr_db=tuple(cfg["snr_db"]), sigma_dut_db=tuple(cfg["sigma_dut_db"]),
-            alpha_offsets_deg=tuple(cfg["alpha_offsets_deg"]), n_mc=cfg["n_mc_precode"],
-            rng_seed=cfg["seed"], dut=dut)
+    tolerance = _build(cfg, _TOLERANCE_TABLE, limits=limits)
+    study = _build(cfg, _STUDY_TABLE, dut=_build(cfg, _DUT_TABLE))
+    if not cfg["geometries_lambda"]:
+        raise ConfigError("geometries_lambda must list at least one [ies_lambda, d_lambda]")
+    for g in cfg["geometries_lambda"]:
+        if len(g) != 2 or g[0] <= 0 or g[1] <= 0:
+            raise ConfigError(f"bad geometry entry {g}; expected [ies_lambda, d_lambda] > 0")
     geometries = tuple((i * lam, d * lam) for i, d in cfg["geometries_lambda"])
     return RunConfig(cfg, wave, chamber, limits, grid, geometries, tolerance, study)

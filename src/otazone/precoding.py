@@ -46,8 +46,8 @@ class DutArraySpec:
 
 def alpha_min_deg(length: float, distance: float) -> float:
     """Minimum interferer angle when the two arrays abut on the same line."""
-    if not (length > 0 and distance > 0):
-        raise ValueError("length and distance must be positive")
+    if not (0 < length < np.inf and 0 < distance < np.inf):
+        raise ValueError("length and distance must be positive and finite")
     return float(np.degrees(np.arctan2(length, distance)))
 
 

@@ -279,8 +279,8 @@ class FomLimits:
     r_phs_max: float
 
     def __post_init__(self):
-        if not all(x > 0 for x in (self.sigma_mag_max, self.r_mag_max, self.r_phs_max)):
-            raise ValueError("all limits must be strictly positive")
+        if not all(0 < x < np.inf for x in (self.sigma_mag_max, self.r_mag_max, self.r_phs_max)):
+            raise ValueError("all limits must be strictly positive and finite")
 
     def violations(self, r_mag, sigma_mag, r_phs) -> np.ndarray:
         """Violated FoMs in FOM_ORDER: shape (3,) for floats, (3, batch) for arrays."""

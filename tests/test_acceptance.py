@@ -1,24 +1,27 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
-The nine criteria pin the library to its reference behavior: zero-error
+The ten criteria pin the library to its reference behavior: zero-error
 compliance of the five marked geometries, the test-zone radius constant,
 the sweep distance cap, the Monte-Carlo tolerance regression (with its
 documented monotonicity fallback), ZF exactness, the qualitative
 weight-error study properties, oracle equivalence, the phase-range unit
-examples, and byte-level CSV determinism.
+examples, byte-level CSV determinism, and the five picks on their tiers'
+compact frontiers.
 """
 
+import csv
 import time
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otazone import (TIER1, TIER2, TIER3, ChamberSpec, DutArraySpec,
-                     ExcitationErrorModel, StudyConfig,
+from otazone import (TIER1, TIER2, TIER3, TIERS, ChamberSpec, DutArraySpec,
+                     ExcitationErrorModel, StudyConfig, SweepGrid,
                      ToleranceSearchConfig, alpha_min_deg, build_channel,
-                     evaluate_fom, field_at_points, load_config, run_study, sinr,
-                     sum_rate, tolerance_search, zf_weights)
+                     compact_frontier, evaluate_fom, field_at_points, load_config,
+                     run_study, run_sweep, sinr, sum_rate, tolerance_search, zf_weights)
 from otazone.cli import main
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
@@ -248,4 +251,70 @@ def test_acceptance_9_csv_determinism(tmp_path, report):
     ok = all(identical.values())
     report(9, ok, "byte-identical CSV reruns: " +
            ", ".join(f"{k}={'yes' if v else 'NO'}" for k, v in identical.items()))
+    assert ok
+
+
+# The picks' tiers, and the default-axes rectangles (IES up to, D up to), in wavelengths, whose
+# union holds every cell with IES' <= IES and D' <= D of some pick. The union is closed under
+# that order, so the frontier of its cells is the full grid's frontier inside it.
+PICK_TIERS = (2, 2, 2, 2, 3)
+FRONTIER_RECTS = ((0.7, 591.0), (1.0, 469.0), (1.2, 441.0), (1.35, 286.0))
+FRONTIERS_CSV = Path(__file__).resolve().parents[1] / "demos" / "compliance_frontiers.csv"
+
+
+def test_acceptance_10_picks_on_compact_frontiers(report):
+    cfg = load_config()
+    lam = cfg.wavelength
+    t0 = time.perf_counter()
+    maps, lo = [], 0.0
+    for ies_hi, d_hi in FRONTIER_RECTS:
+        ies = tuple(v for v in cfg.grid.ies_values if lo + 1e-9 < v / lam <= ies_hi + 1e-9)
+        d = tuple(v for v in cfg.grid.d_values if v / lam <= d_hi + 1e-9)
+        maps.append(run_sweep(SweepGrid(ies, d), cfg.wave, cfg.chamber))
+        lo = ies_hi
+    cells = [c for m in maps for c in m.cells]
+    elapsed = time.perf_counter() - t0
+    assert len(cells) == 7689
+
+    def at(c):
+        return round(c.ies / lam, 2), round(c.d / lam)
+
+    def margin(c, tier):
+        """The largest FoM value / limit - 1: the cell passes the tier when it is <= 0."""
+        lim = TIERS[tier - 1]
+        return max(c.r_mag / lim.r_mag_max, c.sigma_mag / lim.sigma_mag_max,
+                   c.r_phs / lim.r_phs_max) - 1.0
+
+    picks_ok, lines = [], []
+    for (ies, d), tier in zip(DEFAULT_GEOMETRIES_LAMBDA, PICK_TIERS):
+        pick = next(c for c in cells if at(c) == (ies, d))
+        dominators = [c for c in cells
+                      if c is not pick and at(c)[0] <= ies and at(c)[1] <= d]
+        closest = min(dominators, key=lambda c: margin(c, tier))
+        picks_ok.append(pick.reports[tier - 1].passed
+                        and not any(c.reports[tier - 1].passed for c in dominators))
+        lines.append(f"({ies}, {d:g}) tier {tier}: margin {margin(pick, tier):+.1e}; closest "
+                     f"failing dominator ({at(closest)[0]:.2f}, {at(closest)[1]}) "
+                     f"{margin(closest, tier):+.1e}")
+
+    def inside(length, d):
+        ies = length / (cfg.chamber.n_elements - 1)
+        return any(ies <= i + 1e-9 and d <= dh + 1e-9 for i, dh in FRONTIER_RECTS)
+
+    with open(FRONTIERS_CSV, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    frontiers_ok, sizes = [], []
+    for tier in (2, 3):
+        points = {(L / lam, d / lam) for m in maps for L, d in compact_frontier(m, tier - 1)}
+        found = sorted(p for p in points
+                       if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in points))
+        want = [(float(r["L_lambda"]), float(r["D_lambda"])) for r in rows
+                if r["tier"] == str(tier) and inside(float(r["L_lambda"]), float(r["D_lambda"]))]
+        frontiers_ok.append(found == pytest.approx(want, rel=1e-9))
+        sizes.append(len(want))
+    ok = all(picks_ok) and all(frontiers_ok)
+    report(10, ok, f"five picks pass their tiers, undominated {[int(p) for p in picks_ok]}; "
+           f"tier-2/3 frontiers in the rectangles ({sizes} points) match "
+           f"compliance_frontiers.csv {[int(f) for f in frontiers_ok]}; {len(cells)} cells "
+           f"swept in {elapsed:.1f}s (target 20s)\n  " + "\n  ".join(lines))
     assert ok

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -151,6 +152,9 @@ NAN, INF = float("nan"), float("inf")
     lambda: ChamberSpec(mesh_pitch_lambda=INF),
     lambda: ChamberSpec(taper_depth_db=NAN),
     lambda: alpha_min_deg(NAN, 1.0),
+    lambda: FomLimits(0.25, 1.0, INF),
+    lambda: alpha_min_deg(INF, 1.0),
+    lambda: alpha_min_deg(1.0, INF),
     lambda: sum_rate([1.0, NAN]),
     # counts, seeds and edges must be integers at or above their bound
     lambda: ToleranceSearchConfig(n_mc=NAN),
@@ -166,7 +170,8 @@ NAN, INF = float("nan"), float("inf")
 ], ids=["FomLimits", "error_model-nan", "error_model-inf", "step_db", "max_sigma_db",
         "dut_ies", "snr_db", "sigma_dut_db", "alpha_offsets", "tz_radius", "tz_radius-inf",
         "mesh_pitch-inf", "taper_depth",
-        "alpha_min", "sum_rate", "tolerance_n_mc", "tolerance_n_mc-fraction", "tolerance_seed",
+        "alpha_min", "FomLimits-inf", "alpha_min-inf", "alpha_min-inf-distance", "sum_rate",
+        "tolerance_n_mc", "tolerance_n_mc-fraction", "tolerance_seed",
         "study_n_mc", "study_seed", "dut_n_elements", "chamber_n_elements", "taper_edge",
         "mesh_row_y-nan", "mesh_row_y-inf"])
 def test_library_rejects_nan_and_inf(make):
@@ -436,7 +441,8 @@ class TestCliPrecode:
 
 
 class TestChamberKeys:
-    """Every chamber key changes the output of every subcommand that reads it."""
+    """Every key of a run object's table, and each limit, changes the output of every
+    subcommand that reads it."""
 
     # One near-field geometry, (0.5 lam, 100 lam), for every subcommand. The
     # tolerance search steps by 0.001 dB so that its single output number,
@@ -450,8 +456,19 @@ class TestChamberKeys:
     ARRAY_KEYS = ({"n_elements": 40, "taper_edge": 10}, {"taper_depth_db": -3.0},
                   {"taper_endpoint": "inclusive"})
     ZONE_KEYS = ({"mesh_pitch_lambda": 0.25}, {"tz_radius_lambda": 3.0})
-    READS = {"fom": ARRAY_KEYS + ZONE_KEYS, "sweep": ARRAY_KEYS + ZONE_KEYS,
-             "tolerance": ARRAY_KEYS + ZONE_KEYS, "precode": ARRAY_KEYS}
+    # each limit below the base cell's error-free value, which fom then fails on and the
+    # tolerance search at its first level, naming that FoM
+    LIMIT_KEYS = ({"limits": {"sigma_mag_db": 0.15, "r_mag_db": 1.0, "r_phs_deg": 10.0}},
+                  {"limits": {"sigma_mag_db": 0.25, "r_mag_db": 0.7, "r_phs_deg": 10.0}},
+                  {"limits": {"sigma_mag_db": 0.25, "r_mag_db": 1.0, "r_phs_deg": 7.5}})
+    # each moves the tolerated deviation itself, not only the n_mc and seed columns
+    TOLERANCE_KEYS = ({"sigma_step_db": 0.002}, {"n_mc_tolerance": 5}, {"max_sigma_db": 0.005},
+                      {"tolerance_fail_rule": "majority"}, {"seed": 1})
+    STUDY_KEYS = ({"snr_db": [20.0]}, {"sigma_dut_db": [0.0, 2.0]}, {"alpha_offsets_deg": [15.0]},
+                  {"n_mc_precode": 5}, {"dut_elements": 25}, {"dut_ies_lambda": 1.0}, {"seed": 1})
+    READS = {"fom": ARRAY_KEYS + ZONE_KEYS + LIMIT_KEYS, "sweep": ARRAY_KEYS + ZONE_KEYS,
+             "tolerance": ARRAY_KEYS + ZONE_KEYS + TOLERANCE_KEYS + LIMIT_KEYS,
+             "precode": ARRAY_KEYS + STUDY_KEYS}
 
     @pytest.mark.parametrize("command", ["fom", "sweep", "tolerance", "precode"])
     def test_key_changes_rows(self, tmp_path, command):
@@ -464,6 +481,26 @@ class TestChamberKeys:
         base = rows({}, "base.csv")
         for i, patch in enumerate(self.READS[command]):
             assert rows(patch, f"p{i}.csv") != base, patch
+
+    def test_every_table_key_is_patched(self):
+        from otazone import config
+        tables = (config._CHAMBER_TABLE, config._TOLERANCE_TABLE, config._DUT_TABLE,
+                  config._STUDY_TABLE)
+        patched = {key for patches in self.READS.values() for patch in patches for key in patch}
+        assert patched == {key for _, fields in tables for key in fields} | {"limits"}
+        # one limit per patch, each limit once
+        default = config._DEFAULTS["limits"]
+        changed = [[k for k, v in patch["limits"].items() if v != default[k]]
+                   for patch in self.LIMIT_KEYS]
+        assert sorted(changed) == [[k] for k in sorted(config._LIMIT_FIELDS)]
+
+
+def test_readme_key_table_names_every_key():
+    from otazone.config import _DEFAULTS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| Key | Default | Read by |"):].split("\n\n")[0]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert len(keys) == len(set(keys)) and set(keys) == set(_DEFAULTS)
 
 
 def test_cli_import_leaves_thread_pool_unloaded():

@@ -346,7 +346,7 @@ class TestChunkOverlap:
             level_fom_batch(contrib, mesh, eps)
         self.assert_stopped(lambda: len(calls), active)
 
-    def test_no_chunk_left_running_after_product_error(self, level, scoring, two_workers):
+    def test_no_piece_left_running_after_product_error(self, level, scoring, two_workers):
         calls, active = scoring
         contrib, mesh, eps = level
         f0, b, v = contrib
