@@ -111,9 +111,11 @@ def element_fields(layout: ArrayLayout, wave: WaveSpec,
     """Per-element field contributions t_i * exp(-j*k*r_i) / (4*pi*r_i).
 
     ``points`` has shape (M, 2); the result has shape (M, n_elements).
-    The tolerance search builds this matrix, contrib, from the row-lattice
-    kernel where it can, and applies excitation errors through its low-rank
-    factors as E = f0 + (eps @ V^T) @ B^T, with contrib ~ B @ V.
+    The tolerance search applies excitation errors through the low-rank
+    factors of this matrix, contrib ~ B @ V, as E = f0 + (eps @ V^T) @ B^T.
+    It takes V from this function on a sample of the points and reads
+    contrib once, block by block from the row-lattice kernel where it can,
+    to write f0 and B; it forms contrib only if the factors fall back to it.
     A distance that is not finite, or so large that float64 resolves k*r
     more coarsely than _PHASE_RESOLUTION, raises ValueError before any
     phase is taken. Only r, k*r and the result are allocated.

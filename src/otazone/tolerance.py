@@ -146,39 +146,59 @@ class ToleranceResult:
 # largest piece: pieces of 8 rows peaked 8 MB higher than pieces of 6 on the tolerance
 # benchmark.
 _PIECE_ROWS = 6
-# _factor's singular-value cut, relative to the largest, its factor tolerance, relative to
-# ||contrib||_F (the factors miss contrib by 1-2e-13 of that on the reference geometries),
-# and the rows per block of its residual check
-_RANK_CUT, _FACTOR_TOL, _CHECK_ROWS = 1e-13, 1e-12, 1024
+# _factor's singular-value cut, relative to the largest, and its factor tolerance, relative
+# to ||contrib||_F (the factors miss contrib by 1-2e-13 of that on the reference geometries)
+_RANK_CUT, _FACTOR_TOL = 1e-13, 1e-12
+# Rows per block when _factor reads a matrix that is already formed
+_MATRIX_BLOCK_ROWS = 1024
 
 
-def _factor(contrib: np.ndarray):
+def _factor(shape, sample, blocks, full):
     """``(f0, B, V)`` with contrib ~ B @ V and f0 = contrib.sum(axis=1), the error-free field.
 
-    V holds the right singular vectors of a row sample of contrib (every
-    s-th row, with s leaving at least 4 * n_elements rows) whose singular
-    values exceed _RANK_CUT of the largest, and B = contrib @ V^H. B is
-    contrib itself and V the identity if V keeps all n_elements rows, or
-    if ||contrib - B @ V||_F exceeds _FACTOR_TOL of ||contrib||_F. Both
-    norms are summed over blocks of _CHECK_ROWS rows scaled by the top
-    sample singular value, so no square overflows and no temporary is as
-    large as contrib.
+    contrib, of ``shape`` (n_points, n_elements), is read without being
+    held: ``sample(rows)`` gives contrib[rows] for a slice, ``blocks``
+    yields (rows, contrib[rows]) for slices that cover every row once,
+    and ``full()`` forms contrib. V holds the right singular vectors of
+    the sample of every s-th row (s leaving at least 4 * n_elements rows)
+    whose singular values exceed _RANK_CUT of the largest. One pass over
+    the blocks writes each block's rows of f0 and of B = contrib @ V^H
+    and adds its share of ||contrib||_F and ||contrib - B @ V||_F, both
+    scaled by the top sample singular value so no square overflows; no
+    block is held while the next is read. If V keeps all n_elements rows,
+    or the residual exceeds _FACTOR_TOL of the norm, contrib = ``full()``
+    is formed and returned as (contrib.sum(axis=1), contrib, I).
     """
-    n_points, n_elements = contrib.shape
-    _, s, vh = np.linalg.svd(contrib[::max(1, n_points // (4 * n_elements))],
+    n_points, n_elements = shape
+    _, s, vh = np.linalg.svd(sample(slice(None, None, max(1, n_points // (4 * n_elements)))),
                              full_matrices=False)
-    v, f0 = vh[s > _RANK_CUT * s[0]], contrib.sum(axis=1)
+    v = vh[s > _RANK_CUT * s[0]]
     if len(v) < n_elements:  # else there is no lower rank to work in
-        b = (v.conj() @ contrib.T).T  # contrib @ v^H peaks ~47 MB higher with two BLAS threads
+        # B is the transpose of a C-ordered (k, n_points) array: B C-ordered as
+        # (n_points, k) made the pieces' products (eps @ V^T) @ B^T slower
+        f0, bt = np.empty(n_points, dtype=complex), np.empty((len(v), n_points), dtype=complex)
+        v_conj, v_scaled = v.conj(), v / s[0]
         resid = norm = 0.0
-        for lo in range(0, n_points, _CHECK_ROWS):
-            rows = contrib[lo:lo + _CHECK_ROWS] / s[0]
-            norm += np.vdot(rows, rows).real
-            rows -= b[lo:lo + _CHECK_ROWS] @ (v / s[0])
-            resid += np.vdot(rows, rows).real
+        for rows, block in blocks:
+            f0[rows] = block.sum(axis=1)
+            bt[:, rows] = v_conj @ block.T
+            block = block / s[0]
+            norm += np.vdot(block, block).real
+            block -= bt[:, rows].T @ v_scaled
+            resid += np.vdot(block, block).real
+            del block  # not held while the next block is read
         if resid <= _FACTOR_TOL ** 2 * norm:
-            return f0, b, v
-    return f0, contrib, np.eye(n_elements)
+            return f0, bt.T, v
+        del f0, bt  # not held beside contrib
+    contrib = full()
+    return contrib.sum(axis=1), contrib, np.eye(n_elements)
+
+
+def _matrix_factors(contrib: np.ndarray):
+    """``_factor`` of a formed (n_points, n_elements) matrix, read in its own row slices."""
+    blocks = ((slice(lo, lo + _MATRIX_BLOCK_ROWS), contrib[lo:lo + _MATRIX_BLOCK_ROWS])
+              for lo in range(0, len(contrib), _MATRIX_BLOCK_ROWS))
+    return _factor(contrib.shape, contrib.__getitem__, blocks, lambda: contrib)
 
 
 def _blas_threads() -> Optional[int]:
@@ -243,9 +263,9 @@ def level_fom_batch(contrib, mesh: TestZoneMesh,
 
     ``contrib`` is the ``_factor`` triple (f0, B, V) of the (n_points,
     n_elements) error-free per-element field matrix, or that matrix, which
-    is factored first; ``eps`` is (batch, n_elements), one realization per
-    row. Returns per-realization arrays (r_mag, sigma_mag, r_phs), each of
-    length batch.
+    is factored first (``_matrix_factors``); ``eps`` is (batch,
+    n_elements), one realization per row. Returns per-realization arrays
+    (r_mag, sigma_mag, r_phs), each of length batch.
 
     The rows go in near-equal pieces of at most _PIECE_ROWS (100 rows are
     17 pieces of 5 or 6). Each piece, its product and then its scoring, is
@@ -258,7 +278,7 @@ def level_fom_batch(contrib, mesh: TestZoneMesh,
     from concurrent.futures import wait
 
     if not isinstance(contrib, tuple):
-        contrib = _factor(contrib)
+        contrib = _matrix_factors(contrib)
     pool = _pool()
     pieces = np.array_split(eps, max(1, -(-len(eps) // _PIECE_ROWS)))
     tasks = [pool.submit(_piece_foms, contrib, mesh, piece) for piece in pieces]
@@ -290,20 +310,37 @@ def _failing_level_counts(factors, mesh, eps, cfg) -> Optional[np.ndarray]:
     return viol.sum(axis=1) if viol.any(axis=0).sum() >= need_fail else None
 
 
-def _contrib(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh) -> np.ndarray:
-    """The (n_points, n_elements) per-element field matrix, contrib[p, i] = t_i * g[p, i].
+def _contrib_blocks(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):
+    """Yield (points, rows) per row block of the per-element field matrix contrib.
 
-    Filled block by block like ``field_over_mesh``: from its row-lattice
-    kernel, or off that lattice from ``element_fields`` pair by pair.
+    contrib[p, i] = t_i * g[p, i], from the row-lattice kernel blocks of
+    ``field_over_mesh``, or off that lattice from ``element_fields`` pair
+    by pair. A block is not held while the next one is read.
     """
-    contrib = np.empty((mesh.n_points, layout.n_elements), dtype=complex)
     for pts, g in _kernel_blocks(layout, wave, mesh):
-        if g is None:
-            contrib[pts] = element_fields(layout, wave, mesh.points[pts])
-        else:
-            np.multiply(g, layout.taper, out=contrib[pts])
-        del g  # not held while the next block is read
+        yield pts, (element_fields(layout, wave, mesh.points[pts]) if g is None
+                    else g * layout.taper)
+        del g
+
+
+def _contrib(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh) -> np.ndarray:
+    """The (n_points, n_elements) per-element field matrix, contrib[p, i] = t_i * g[p, i]."""
+    contrib = np.empty((mesh.n_points, layout.n_elements), dtype=complex)
+    for pts, rows in _contrib_blocks(layout, wave, mesh):
+        contrib[pts] = rows
     return contrib
+
+
+def _zone_factors(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):
+    """contrib's ``_factor`` triple, without forming contrib unless the factors fall back.
+
+    The sample rows come from ``element_fields`` and the blocks from
+    ``_contrib_blocks``, read on the calling thread: the field spans that
+    ``perfbench/tracer.py`` records share one span stack for all threads.
+    """
+    return _factor((mesh.n_points, layout.n_elements),
+                   lambda rows: element_fields(layout, wave, mesh.points[rows]),
+                   _contrib_blocks(layout, wave, mesh), lambda: _contrib(layout, wave, mesh))
 
 
 def tolerance_search(ies: float, distance: float, wave: WaveSpec,
@@ -317,8 +354,9 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     ``cfg.fail_rule``. Realization streams are keyed by (seed, level,
     realization), so results do not depend on evaluation order, piece size
     or thread count; ``level_fom_batch`` scores each level's pieces on
-    the CPUs BLAS leaves free, from contrib's ``_factor`` triple; its
-    fields agree with the full product to about 1e-12 relative.
+    the CPUs BLAS leaves free, from contrib's ``_factor`` triple, which
+    ``_zone_factors`` builds without forming contrib; its fields agree
+    with the full product to about 1e-12 relative.
 
     Returns the last passing level and the failing FoM attributed by
     majority vote over the violating realizations at the failing level
@@ -328,7 +366,7 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     """
     layout = chamber.layout(ies)
     mesh = build_mesh(chamber.zone(wave, distance))
-    factors = _factor(_contrib(layout, wave, mesh))
+    factors = _zone_factors(layout, wave, mesh)
     for level in itertools.count():
         sigma_db = level * cfg.step_db
         if sigma_db > cfg.max_sigma_db + 1e-12:

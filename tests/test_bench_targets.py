@@ -46,7 +46,7 @@ TINY = {
 # that moves what the benchmark counts fails here rather than in a benchmark run
 TINY_COUNTS = {"tolerance": {"tolerance.level_fom_batch.realizations": 10,
                              "tolerance.level_fom_batch.calls": 4,
-                             "field.element_fields.pairs": 48271, "tolerance.levels": 4}}
+                             "field.element_fields.pairs": 127971, "tolerance.levels": 4}}
 
 
 @pytest.mark.parametrize("kind", sorted(TINY))

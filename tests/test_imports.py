@@ -17,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # (importing module, imported module, private name): why the import is allowed
 PRIVATE_ALLOWED = {
     ("tolerance", "testzone", "_kernel_blocks"):
-        "tolerance._contrib gathers the row-lattice kernel; it moves behind testzone when "
+        "tolerance._contrib_blocks gathers the row-lattice kernel; it moves behind testzone when "
         "the benchmark's tracer targets can move with it",
 }
 

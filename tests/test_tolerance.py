@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, _kernel_blocks, build_mesh, fom_values
 from otazone import tolerance
-from otazone.tolerance import (FOM_ORDER, _contrib, _factor, _failing_level_counts,
-                               level_fom_batch)
+from otazone.tolerance import (FOM_ORDER, _contrib, _failing_level_counts, _matrix_factors,
+                               _zone_factors, level_fom_batch)
 
 
 class TestErrorModel:
@@ -203,18 +204,45 @@ class TestFactor:
     """The search's fields from contrib's factors against the full product."""
 
     @pytest.mark.parametrize("ies, d, radius", [(ies, d, 99 / 8) for ies, d in
-                                                DEFAULT_GEOMETRIES_LAMBDA] + [(0.7, 591.0, 2.0)])
+                                                DEFAULT_GEOMETRIES_LAMBDA] + [(0.7, 591.0, 2.0)]
+                             + [pytest.param(2 ** -0.5, 300.0, 99 / 8, id="off_lattice")])
     def test_matches_full_product(self, wave, lam, ies, d, radius):
         chamber = ChamberSpec(tz_radius_lambda=radius)
-        mesh = build_mesh(chamber.zone(wave, d * lam))
-        contrib = _contrib(chamber.layout(ies * lam), wave, mesh)
-        factors = _factor(contrib)
-        assert len(factors[2]) < 50
+        layout, mesh = chamber.layout(ies * lam), build_mesh(chamber.zone(wave, d * lam))
+        factors = _zone_factors(layout, wave, mesh)
+        contrib = _contrib(layout, wave, mesh)
+        assert len(factors[2]) == len(_matrix_factors(contrib)[2]) < 50
         eps = np.vstack([draw_errors(ExcitationErrorModel(sigma_db), 100,
                                      [(0, 1, r) for r in range(8)])
                          for sigma_db in (0.05, 0.5, 2.0)])
         np.testing.assert_allclose(level_fom_batch(factors, mesh, eps),
                                    fom_values(mesh, (1.0 + eps) @ contrib.T), rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("ies, d", DEFAULT_GEOMETRIES_LAMBDA)
+    def test_setup_does_not_hold_contrib(self, wave, lam, ies, d):
+        layout = ChamberSpec().layout(ies * lam)
+        mesh = build_mesh(ChamberSpec().zone(wave, d * lam))
+        tracemalloc.start()
+        try:
+            factors = _zone_factors(layout, wave, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(factors[2]) < layout.n_elements  # the factors, not the fallback
+        contrib_bytes = mesh.n_points * layout.n_elements * 16
+        assert peak - sum(a.nbytes for a in factors) < contrib_bytes / 4
+
+    @pytest.mark.parametrize("ies, d", [(0.7, 591.0), (2 ** -0.5, 300.0)],
+                             ids=["lattice", "off_lattice"])
+    def test_guard_trip_returns_contrib(self, wave, lam, ies, d, monkeypatch):
+        monkeypatch.setattr(tolerance, "_FACTOR_TOL", 0.0)
+        layout = ChamberSpec().layout(ies * lam)
+        mesh = build_mesh(ChamberSpec().zone(wave, d * lam))
+        f0, b, v = _zone_factors(layout, wave, mesh)
+        contrib = _contrib(layout, wave, mesh)
+        assert b.tobytes() == contrib.tobytes() and b.shape == contrib.shape
+        assert f0.tobytes() == contrib.sum(axis=1).tobytes()
+        assert np.array_equal(v, np.eye(layout.n_elements))
 
     @pytest.mark.parametrize("n_elements, sampled_rank", [(100, 100), (10, 2)])
     def test_unfactored_contrib_is_identity_factors(self, lam, n_elements, sampled_rank):
@@ -225,7 +253,7 @@ class TestFactor:
         a, b = (rng.standard_normal((2, n, sampled_rank)) for n in (mesh.n_points, n_elements))
         contrib = (a[0] + 1j * a[1]) @ (b[0] + 1j * b[1]).T
         contrib[1] = rng.standard_normal(n_elements)
-        f0, b, v = _factor(contrib)
+        f0, b, v = _matrix_factors(contrib)
         assert f0.tobytes() == contrib.sum(axis=1).tobytes()
         assert b is contrib and np.array_equal(v, np.eye(n_elements))
         eps = draw_errors(ExcitationErrorModel(0.5), n_elements, [(0, 1, r) for r in range(20)])
@@ -238,7 +266,7 @@ class TestFactor:
         contrib = element_fields(layout, wave, mesh.points)
         eps = draw_errors(ExcitationErrorModel(0.3), 100, [(0, 1, r) for r in range(20)])
         for got, want in zip(level_fom_batch(contrib, mesh, eps),
-                             level_fom_batch(_factor(contrib), mesh, eps), strict=True):
+                             level_fom_batch(_matrix_factors(contrib), mesh, eps), strict=True):
             assert got.tobytes() == want.tobytes()
 
 
@@ -275,7 +303,7 @@ class FailingSecondProduct:
         return rows @ self.b.T
 
 
-class TestChunkOverlap:
+class TestPiecePool:
     """level_fom_batch forms and scores its pieces of rows as tasks of a thread pool."""
 
     @pytest.fixture
@@ -283,7 +311,7 @@ class TestChunkOverlap:
         layout = ChamberSpec().layout(0.7 * lam)
         mesh = build_mesh(TestZoneSpec(591 * lam, 2 * lam, lam / 8))
         eps = draw_errors(ExcitationErrorModel(0.3), 100, [(0, 1, r) for r in range(70)])
-        return _factor(element_fields(layout, wave, mesh.points)), mesh, eps
+        return _matrix_factors(element_fields(layout, wave, mesh.points)), mesh, eps
 
     @pytest.fixture
     def scoring(self, monkeypatch):
