@@ -153,52 +153,59 @@ _RANK_CUT, _FACTOR_TOL = 1e-13, 1e-12
 _MATRIX_BLOCK_ROWS = 1024
 
 
-def _factor(shape, sample, blocks, full):
+def _sample_rows(n_points: int, n_elements: int) -> slice:
+    """The rows of contrib that ``_factor`` samples: every s-th, leaving >= 4 * n_elements."""
+    return slice(None, None, max(1, n_points // (4 * n_elements)))
+
+
+def _factor(sample: np.ndarray, blocks, n_points: int):
     """``(f0, B, V)`` with contrib ~ B @ V and f0 = contrib.sum(axis=1), the error-free field.
 
-    contrib, of ``shape`` (n_points, n_elements), is read without being
-    held: ``sample(rows)`` gives contrib[rows] for a slice, ``blocks``
-    yields (rows, contrib[rows]) for slices that cover every row once,
-    and ``full()`` forms contrib. V holds the right singular vectors of
-    the sample of every s-th row (s leaving at least 4 * n_elements rows)
-    whose singular values exceed _RANK_CUT of the largest. One pass over
-    the blocks writes each block's rows of f0 and of B = contrib @ V^H
-    and adds its share of ||contrib||_F and ||contrib - B @ V||_F, both
-    scaled by the top sample singular value so no square overflows; no
-    block is held while the next is read. If V keeps all n_elements rows,
-    or the residual exceeds _FACTOR_TOL of the norm, contrib = ``full()``
-    is formed and returned as (contrib.sum(axis=1), contrib, I).
+    Each piece's fields are then E = f0 + (eps @ V^T) @ B^T. contrib,
+    (n_points, n_elements), is never held: ``sample`` is its
+    ``_sample_rows`` and ``blocks()`` yields (rows, contrib[rows]) for
+    slices that cover every row once. V holds the right singular vectors
+    of the sample whose singular values exceed _RANK_CUT of the largest.
+    One pass over the blocks writes each block's rows of f0 and of
+    B = contrib @ V^H and adds its share of ||contrib||_F and
+    ||contrib - B @ V||_F, both scaled by the top sample singular value so
+    no square overflows; no block is held while the next is read. If V
+    keeps all n_elements rows, or the residual exceeds _FACTOR_TOL of the
+    norm, a second pass runs with V = I and copies each block into B, so
+    the factors are (contrib.sum(axis=1), contrib, I), the full product.
     """
-    n_points, n_elements = shape
-    _, s, vh = np.linalg.svd(sample(slice(None, None, max(1, n_points // (4 * n_elements)))),
-                             full_matrices=False)
-    v = vh[s > _RANK_CUT * s[0]]
-    if len(v) < n_elements:  # else there is no lower rank to work in
+    s, vh = np.linalg.svd(sample, full_matrices=False)[1:]
+    del sample  # neither it nor its left singular vectors are held through the pass
+    v, eye = vh[s > _RANK_CUT * s[0]], np.eye(vh.shape[1])
+    for v in ([v] if len(v) < len(eye) else []) + [eye]:
         # B is the transpose of a C-ordered (k, n_points) array: B C-ordered as
         # (n_points, k) made the pieces' products (eps @ V^T) @ B^T slower
         f0, bt = np.empty(n_points, dtype=complex), np.empty((len(v), n_points), dtype=complex)
         v_conj, v_scaled = v.conj(), v / s[0]
         resid = norm = 0.0
-        for rows, block in blocks:
+        for rows, block in blocks():
             f0[rows] = block.sum(axis=1)
-            bt[:, rows] = v_conj @ block.T
-            block = block / s[0]
-            norm += np.vdot(block, block).real
-            block -= bt[:, rows].T @ v_scaled
-            resid += np.vdot(block, block).real
+            if v is eye:
+                bt[:, rows] = block.T
+            else:
+                bt[:, rows] = v_conj @ block.T
+                block = block / s[0]
+                norm += np.vdot(block, block).real
+                block -= bt[:, rows].T @ v_scaled
+                resid += np.vdot(block, block).real
             del block  # not held while the next block is read
-        if resid <= _FACTOR_TOL ** 2 * norm:
+        if v is eye or resid <= _FACTOR_TOL ** 2 * norm:
             return f0, bt.T, v
-        del f0, bt  # not held beside contrib
-    contrib = full()
-    return contrib.sum(axis=1), contrib, np.eye(n_elements)
+        del f0, bt  # not held beside the second pass's
 
 
 def _matrix_factors(contrib: np.ndarray):
     """``_factor`` of a formed (n_points, n_elements) matrix, read in its own row slices."""
-    blocks = ((slice(lo, lo + _MATRIX_BLOCK_ROWS), contrib[lo:lo + _MATRIX_BLOCK_ROWS])
-              for lo in range(0, len(contrib), _MATRIX_BLOCK_ROWS))
-    return _factor(contrib.shape, contrib.__getitem__, blocks, lambda: contrib)
+    def blocks():
+        for lo in range(0, len(contrib), _MATRIX_BLOCK_ROWS):
+            yield slice(lo, lo + _MATRIX_BLOCK_ROWS), contrib[lo:lo + _MATRIX_BLOCK_ROWS]
+
+    return _factor(contrib[_sample_rows(*contrib.shape)], blocks, len(contrib))
 
 
 def _blas_threads() -> Optional[int]:
@@ -310,37 +317,24 @@ def _failing_level_counts(factors, mesh, eps, cfg) -> Optional[np.ndarray]:
     return viol.sum(axis=1) if viol.any(axis=0).sum() >= need_fail else None
 
 
-def _contrib_blocks(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):
-    """Yield (points, rows) per row block of the per-element field matrix contrib.
-
-    contrib[p, i] = t_i * g[p, i], from the row-lattice kernel blocks of
-    ``field_over_mesh``, or off that lattice from ``element_fields`` pair
-    by pair. A block is not held while the next one is read.
-    """
-    for pts, g in _kernel_blocks(layout, wave, mesh):
-        yield pts, (element_fields(layout, wave, mesh.points[pts]) if g is None
-                    else g * layout.taper)
-        del g
-
-
-def _contrib(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh) -> np.ndarray:
-    """The (n_points, n_elements) per-element field matrix, contrib[p, i] = t_i * g[p, i]."""
-    contrib = np.empty((mesh.n_points, layout.n_elements), dtype=complex)
-    for pts, rows in _contrib_blocks(layout, wave, mesh):
-        contrib[pts] = rows
-    return contrib
-
-
 def _zone_factors(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):
-    """contrib's ``_factor`` triple, without forming contrib unless the factors fall back.
+    """contrib's ``_factor`` triple, contrib[p, i] = t_i * g[p, i], read block by block.
 
-    The sample rows come from ``element_fields`` and the blocks from
-    ``_contrib_blocks``, read on the calling thread: the field spans that
-    ``perfbench/tracer.py`` records share one span stack for all threads.
+    The blocks are the row-lattice kernel blocks of ``field_over_mesh``,
+    or off that lattice ``element_fields`` block by block; they and the
+    sample rows, from ``element_fields``, are read on the calling thread:
+    the field spans that ``perfbench/tracer.py`` records share one span
+    stack for all threads.
     """
-    return _factor((mesh.n_points, layout.n_elements),
-                   lambda rows: element_fields(layout, wave, mesh.points[rows]),
-                   _contrib_blocks(layout, wave, mesh), lambda: _contrib(layout, wave, mesh))
+    def blocks():
+        for pts, g in _kernel_blocks(layout, wave, mesh):
+            yield pts, (element_fields(layout, wave, mesh.points[pts]) if g is None
+                        else g * layout.taper)
+            del g
+
+    return _factor(element_fields(layout, wave,
+                                  mesh.points[_sample_rows(mesh.n_points, layout.n_elements)]),
+                   blocks, mesh.n_points)
 
 
 def tolerance_search(ies: float, distance: float, wave: WaveSpec,
@@ -355,8 +349,9 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     realization), so results do not depend on evaluation order, piece size
     or thread count; ``level_fom_batch`` scores each level's pieces on
     the CPUs BLAS leaves free, from contrib's ``_factor`` triple, which
-    ``_zone_factors`` builds without forming contrib; its fields agree
-    with the full product to about 1e-12 relative.
+    ``_zone_factors`` writes in one pass over contrib's row blocks; its
+    fields agree with the full product to about 1e-12 relative, or, if
+    the factors fall back, a second pass with V = I copies contrib into B.
 
     Returns the last passing level and the failing FoM attributed by
     majority vote over the violating realizations at the failing level

@@ -17,8 +17,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # (importing module, imported module, private name): why the import is allowed
 PRIVATE_ALLOWED = {
     ("tolerance", "testzone", "_kernel_blocks"):
-        "tolerance._contrib_blocks gathers the row-lattice kernel; it moves behind testzone when "
-        "the benchmark's tracer targets can move with it",
+        "tolerance._zone_factors reads contrib's blocks from the row-lattice kernel; it moves "
+        "behind testzone when the benchmark's tracer targets can move with it",
 }
 
 

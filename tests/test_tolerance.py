@@ -19,8 +19,21 @@ from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
 from otazone.field import element_fields
 from otazone.testzone import TestZoneSpec, _kernel_blocks, build_mesh, fom_values
 from otazone import tolerance
-from otazone.tolerance import (FOM_ORDER, _contrib, _failing_level_counts, _matrix_factors,
+from otazone.tolerance import (FOM_ORDER, _failing_level_counts, _matrix_factors, _sample_rows,
                                _zone_factors, level_fom_batch)
+
+
+def kernel_contrib(layout, wave, mesh):
+    """contrib[p, i] = t_i * g[p, i], C-ordered, formed from the blocks the search reads.
+
+    On the row lattice g comes from the kernel blocks; off it each block is
+    one ``element_fields`` call, which is bit-identical to one whole-mesh call.
+    """
+    contrib = np.empty((mesh.n_points, layout.n_elements), dtype=complex)
+    for pts, g in _kernel_blocks(layout, wave, mesh):
+        contrib[pts] = (element_fields(layout, wave, mesh.points[pts]) if g is None
+                        else g * layout.taper)
+    return contrib
 
 
 class TestErrorModel:
@@ -169,18 +182,19 @@ class TestKernelContrib:
     """The search's contrib matrix from the row-lattice kernel against element_fields."""
 
     @pytest.mark.parametrize("ies, d", DEFAULT_GEOMETRIES_LAMBDA)
-    def test_matches_element_fields(self, wave, lam, ies, d, monkeypatch):
+    def test_matches_element_fields(self, wave, lam, ies, d):
         layout = ChamberSpec().layout(ies * lam)
         mesh = build_mesh(ChamberSpec().zone(wave, d * lam))
-        want = element_fields(layout, wave, mesh.points)
-        monkeypatch.setattr(tolerance, "element_fields", None)  # on the lattice: kernel only
-        np.testing.assert_allclose(_contrib(layout, wave, mesh), want, rtol=1e-11, atol=0)
+        assert all(g is not None for _, g in _kernel_blocks(layout, wave, mesh))  # kernel only
+        np.testing.assert_allclose(kernel_contrib(layout, wave, mesh),
+                                   element_fields(layout, wave, mesh.points), rtol=1e-11, atol=0)
 
-    def test_off_lattice_is_element_fields(self, wave, lam):
+    def test_off_lattice_is_element_fields(self, wave, lam, monkeypatch):
+        monkeypatch.setattr(tolerance, "_FACTOR_TOL", 0.0)  # B is contrib itself
         layout = ChamberSpec().layout(lam / np.sqrt(2))
         mesh = build_mesh(ChamberSpec().zone(wave, 300 * lam))
-        assert np.array_equal(_contrib(layout, wave, mesh),
-                              element_fields(layout, wave, mesh.points))
+        b = _zone_factors(layout, wave, mesh)[1]
+        assert b.tobytes() == element_fields(layout, wave, mesh.points).tobytes()
 
     def test_off_lattice_one_call_per_row_block(self, wave, lam, monkeypatch):
         layout = ChamberSpec().layout(lam / np.sqrt(2))
@@ -192,12 +206,13 @@ class TestKernelContrib:
             return element_fields(layout, wave, points)
 
         monkeypatch.setattr(tolerance, "element_fields", recording)
-        _contrib(layout, wave, mesh)
+        assert len(_zone_factors(layout, wave, mesh)[2]) < layout.n_elements  # one pass
         blocks = [pts for pts, _ in _kernel_blocks(layout, wave, mesh)]
-        assert len(blocks) > 1 and len(calls) == len(blocks)
-        for pts, points in zip(blocks, calls):
+        assert len(blocks) > 1 and len(calls) == 1 + len(blocks)
+        assert np.array_equal(calls[0], mesh.points[_sample_rows(mesh.n_points, layout.n_elements)])
+        for pts, points in zip(blocks, calls[1:]):
             assert np.array_equal(points, mesh.points[pts])
-        assert np.array_equal(np.concatenate(calls), mesh.points)
+        assert np.array_equal(np.concatenate(calls[1:]), mesh.points)
 
 
 class TestFactor:
@@ -210,7 +225,7 @@ class TestFactor:
         chamber = ChamberSpec(tz_radius_lambda=radius)
         layout, mesh = chamber.layout(ies * lam), build_mesh(chamber.zone(wave, d * lam))
         factors = _zone_factors(layout, wave, mesh)
-        contrib = _contrib(layout, wave, mesh)
+        contrib = kernel_contrib(layout, wave, mesh)
         assert len(factors[2]) == len(_matrix_factors(contrib)[2]) < 50
         eps = np.vstack([draw_errors(ExcitationErrorModel(sigma_db), 100,
                                      [(0, 1, r) for r in range(8)])
@@ -239,10 +254,31 @@ class TestFactor:
         layout = ChamberSpec().layout(ies * lam)
         mesh = build_mesh(ChamberSpec().zone(wave, d * lam))
         f0, b, v = _zone_factors(layout, wave, mesh)
-        contrib = _contrib(layout, wave, mesh)
+        contrib = kernel_contrib(layout, wave, mesh)
         assert b.tobytes() == contrib.tobytes() and b.shape == contrib.shape
         assert f0.tobytes() == contrib.sum(axis=1).tobytes()
         assert np.array_equal(v, np.eye(layout.n_elements))
+
+    def test_guard_trip_scores_as_full_product(self, wave, lam, monkeypatch):
+        monkeypatch.setattr(tolerance, "_FACTOR_TOL", 0.0)
+        layout = ChamberSpec().layout(0.7 * lam)
+        mesh = build_mesh(ChamberSpec().zone(wave, 591 * lam))
+        contrib = kernel_contrib(layout, wave, mesh)
+        eps = draw_errors(ExcitationErrorModel(0.5), 100, [(0, 1, r) for r in range(20)])
+        full = (contrib.sum(axis=1), contrib, np.eye(100))
+        for got, want in zip(level_fom_batch(_zone_factors(layout, wave, mesh), mesh, eps),
+                             level_fom_batch(full, mesh, eps), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_full_rank_chamber_is_identity_factors(self, wave, lam):
+        # 4 elements: the sample keeps all 4 singular vectors, so only the V = I pass runs
+        chamber = ChamberSpec(n_elements=4, taper_edge=1)
+        layout, mesh = chamber.layout(0.7 * lam), build_mesh(chamber.zone(wave, 591 * lam))
+        f0, b, v = _zone_factors(layout, wave, mesh)
+        contrib = kernel_contrib(layout, wave, mesh)
+        assert np.array_equal(v, np.eye(4))
+        assert b.shape == contrib.shape and b.tobytes() == contrib.tobytes()
+        assert f0.tobytes() == contrib.sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("n_elements, sampled_rank", [(100, 100), (10, 2)])
     def test_unfactored_contrib_is_identity_factors(self, lam, n_elements, sampled_rank):
@@ -255,7 +291,8 @@ class TestFactor:
         contrib[1] = rng.standard_normal(n_elements)
         f0, b, v = _matrix_factors(contrib)
         assert f0.tobytes() == contrib.sum(axis=1).tobytes()
-        assert b is contrib and np.array_equal(v, np.eye(n_elements))
+        assert b.shape == contrib.shape and b.tobytes() == contrib.tobytes()
+        assert np.array_equal(v, np.eye(n_elements))
         eps = draw_errors(ExcitationErrorModel(0.5), n_elements, [(0, 1, r) for r in range(20)])
         np.testing.assert_allclose(level_fom_batch((f0, b, v), mesh, eps),
                                    fom_values(mesh, (1.0 + eps) @ contrib.T), rtol=1e-12, atol=0)
