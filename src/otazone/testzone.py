@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import field
 from .field import ArrayLayout, WaveSpec, checked_int, field_at_points, make_taper
 
 FOM_ORDER = ("R_mag", "sigma_mag", "R_phs")
@@ -63,6 +64,8 @@ class ChamberSpec:
         self._taper()
         if not (0 < self.tz_radius_lambda < np.inf and 0 < self.mesh_pitch_lambda < np.inf):
             raise ValueError("tz_radius_lambda and mesh_pitch_lambda must be positive and finite")
+        if self.tz_radius_lambda / self.mesh_pitch_lambda * (1.0 + 1e-12) < 1.0:  # as in build_mesh
+            raise ValueError("tz_radius_lambda below mesh_pitch_lambda leaves one mesh point")
 
     def _taper(self) -> np.ndarray:
         return make_taper(self.n_elements, self.taper_edge, self.taper_depth_db,
@@ -170,12 +173,22 @@ def field_over_mesh(layout: ArrayLayout, wave: WaveSpec,
     """
     out = np.empty(mesh.n_points, dtype=complex)
     for pts, g in _kernel_blocks(layout, wave, mesh):
-        if g is None:
-            out[pts] = field_at_points(layout, wave, mesh.points[pts])
-        else:
-            out[pts] = g @ layout.taper
+        out[pts] = (field_at_points(layout, wave, mesh.points[pts]) if g is None
+                    else g @ layout.taper)
         del g  # not held while the next block is read
     return out
+
+
+def element_field_blocks(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):
+    """Yield (points, f) per block of ``_kernel_blocks``, in mesh order: f[p, i] = t_i * g[p, i].
+
+    Off the row lattice f is one ``field.element_fields`` call (looked up at call time): bit
+    for bit those rows of a whole-mesh call. No block is held while the next is read.
+    """
+    for pts, g in _kernel_blocks(layout, wave, mesh):
+        yield pts, (field.element_fields(layout, wave, mesh.points[pts]) if g is None
+                    else g * layout.taper)
+        del g
 
 
 def _kernel_blocks(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):

@@ -6,12 +6,12 @@ to linear scale as s = 10^(s_dB/20) - 1. The search raises s_dB in fixed
 steps until a level fails; two level-fail rules are available:
 
   "any"      - a level fails as soon as one of its n_mc realizations
-               violates any figure of merit (conservative, lower bound);
+               violates any figure of merit: a lower bound at the default
+               n_mc = 100. The mean over seeds of n_mc = 1 searches (config
+               ``n_mc_tolerance: 1``) matches the paper's table (README);
   "majority" - a level fails when at least half of its realizations
-               violate, so it estimates the deviation at which half the
-               realizations violate. On the default geometries that lies
-               above the mean of one-realization-per-step searches (seed 0,
-               n_mc = 100: 0.08 to 0.65 dB against means of 0.07 to 0.46 dB).
+               violate: an estimate of the deviation at which half violate,
+               above those n_mc = 1 means (seed 0: 0.08 to 0.65 dB).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .field import ArrayLayout, WaveSpec, checked_int, element_fields
-from .testzone import (FOM_ORDER, ChamberSpec, FomLimits, TIER1, TestZoneMesh, _kernel_blocks,
-                       build_mesh, fom_values)
+from .testzone import (FOM_ORDER, ChamberSpec, FomLimits, TIER1, TestZoneMesh, build_mesh,
+                       element_field_blocks, fom_values)
 
 # 20 * log10(DBL_MAX): from here on the linear scale 10^(sigma_db/20) overflows
 _MAX_SIGMA_DB = 20.0 * math.log10(np.finfo(float).max)
@@ -318,23 +318,13 @@ def _failing_level_counts(factors, mesh, eps, cfg) -> Optional[np.ndarray]:
 
 
 def _zone_factors(layout: ArrayLayout, wave: WaveSpec, mesh: TestZoneMesh):
-    """contrib's ``_factor`` triple, contrib[p, i] = t_i * g[p, i], read block by block.
+    """contrib's ``_factor`` triple from ``element_field_blocks``, read on the calling thread.
 
-    The blocks are the row-lattice kernel blocks of ``field_over_mesh``,
-    or off that lattice ``element_fields`` block by block; they and the
-    sample rows, from ``element_fields``, are read on the calling thread:
-    the field spans that ``perfbench/tracer.py`` records share one span
-    stack for all threads.
+    ``perfbench/tracer.py`` keeps one span stack for all threads, so no field is read on the pool.
     """
-    def blocks():
-        for pts, g in _kernel_blocks(layout, wave, mesh):
-            yield pts, (element_fields(layout, wave, mesh.points[pts]) if g is None
-                        else g * layout.taper)
-            del g
-
     return _factor(element_fields(layout, wave,
                                   mesh.points[_sample_rows(mesh.n_points, layout.n_elements)]),
-                   blocks, mesh.n_points)
+                   lambda: element_field_blocks(layout, wave, mesh), mesh.n_points)
 
 
 def tolerance_search(ies: float, distance: float, wave: WaveSpec,
@@ -347,11 +337,8 @@ def tolerance_search(ies: float, distance: float, wave: WaveSpec,
     level k > 0 runs ``n_mc`` fresh ones at k steps. Each level fails per
     ``cfg.fail_rule``. Realization streams are keyed by (seed, level,
     realization), so results do not depend on evaluation order, piece size
-    or thread count; ``level_fom_batch`` scores each level's pieces on
-    the CPUs BLAS leaves free, from contrib's ``_factor`` triple, which
-    ``_zone_factors`` writes in one pass over contrib's row blocks; its
-    fields agree with the full product to about 1e-12 relative, or, if
-    the factors fall back, a second pass with V = I copies contrib into B.
+    or thread count. ``level_fom_batch`` scores them from ``_zone_factors``'s
+    triple, whose fields agree with the full product to about 1e-12 relative.
 
     Returns the last passing level and the failing FoM attributed by
     majority vote over the violating realizations at the failing level

@@ -49,20 +49,37 @@ TINY_COUNTS = {"tolerance": {"tolerance.level_fom_batch.realizations": 10,
                              "field.element_fields.pairs": 127971, "tolerance.levels": 4}}
 
 
-@pytest.mark.parametrize("kind", sorted(TINY))
-def test_cli_run_reaches_expected_spans(kind, tmp_path):
-    tracing = load_tracer()
+# the tiny tolerance run off the row lattice (IES lambda/sqrt(2)): the SVD sample and each of
+# the set-up's two blocks is one element_fields call, and the tracer must see all three
+OFF_LATTICE = dict(TINY["tolerance"], geometries_lambda=[[2 ** -0.5, 300.0]])
+OFF_LATTICE_COUNTS = {"field.element_fields.calls": 3, "field.element_fields.pairs": 159400}
+
+
+def traced_run(tracing, kind, config, tmp_path):
+    """(self_s, counts) of one traced CLI run of ``kind`` on ``config``."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(TINY[kind]))
+    cfg.write_text(json.dumps(config))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.start_op()
         assert main(["--config", str(cfg), "-o", str(tmp_path / "out.csv"), kind]) == 0
-        self_s, counts = tracer.finish_op()
+        result = tracer.finish_op()
     finally:
         tracer.uninstall()
     assert tracer.missing == []
+    return result
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_cli_run_reaches_expected_spans(kind, tmp_path):
+    tracing = load_tracer()
+    self_s, counts = traced_run(tracing, kind, TINY[kind], tmp_path)
     assert [s for s in tracing.EXPECTED[kind] if s not in self_s] == []
     pinned = TINY_COUNTS.get(kind, {})
     assert {name: counts[name] for name in pinned} == pinned
+
+
+def test_off_lattice_setup_is_counted(tmp_path):
+    counts = traced_run(load_tracer(), "tolerance", OFF_LATTICE, tmp_path)[1]
+    assert {name: counts[name] for name in OFF_LATTICE_COUNTS} == OFF_LATTICE_COUNTS

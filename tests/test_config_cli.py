@@ -87,6 +87,7 @@ class TestLoadConfig:
         {"alpha_offsets_deg": []},
         {"geometries_lambda": []},
         {"d_step_lambda": 0.0},
+        {"tz_radius_lambda": 0.01},  # below one pitch the mesh is a single point
     ])
     def test_invalid_values_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -184,6 +185,8 @@ def test_library_rejects_nan_and_inf(make):
     (lambda: ArrayLayout(0, 1.0, np.ones(0)), "n_elements must be >= 1"),
     (lambda: ArrayLayout(3, 1.0, np.ones(2)), "taper must have shape"),
     (lambda: ChamberSpec(n_elements=0), "n_elements must be >= 1"),
+    (lambda: ChamberSpec(tz_radius_lambda=0.25, mesh_pitch_lambda=0.5),
+     "tz_radius_lambda below mesh_pitch_lambda"),
     (lambda: TestZoneSpec(10.0, 1.0, 0.0), "pitch must be positive"),
     (lambda: SweepGrid((0.0,), (1.0,)), "ies values must be positive"),
     (lambda: StudyConfig(rng_seed=-1), "rng_seed must be >= 0"),  # the config's seed check is first
@@ -194,9 +197,9 @@ def test_library_rejects_nan_and_inf(make):
     (lambda: StudyConfig(sigma_dut_db=(0.0, 7000.0)), "sigma_db must be >= 0 and below 6165.09"),
     (lambda: ExcitationErrorModel(7000.0), "sigma_db must be >= 0 and below 6165.09 dB"),
     (lambda: ToleranceSearchConfig(max_sigma_db=7000.0), "max_sigma_db must be .* below 6165.09"),
-], ids=["layout_n_elements", "layout_taper_shape", "chamber_n_elements", "zone_pitch",
-        "sweep_ies", "study_seed", "tolerance_n_mc-bool", "study_snr", "study_sigma_dut",
-        "error_model", "max_sigma_db"])
+], ids=["layout_n_elements", "layout_taper_shape", "chamber_n_elements", "chamber_radius",
+        "zone_pitch", "sweep_ies", "study_seed", "tolerance_n_mc-bool", "study_snr",
+        "study_sigma_dut", "error_model", "max_sigma_db"])
 def test_library_rejects_out_of_range(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -276,6 +279,8 @@ class TestCliFom:
         # a wavelength of 1e305 m takes the sweep grid in meters past float range
         ({"frequency_hz": 3e-297}, "config error: bad config (frequency_hz=3e-297, "
                                    "ies_lambda=[0.5, 0.55, "),
+        ({"tz_radius_lambda": 0.01}, "tz_radius_lambda=0.01, mesh_pitch_lambda=0.125): "
+                                     "tz_radius_lambda below mesh_pitch_lambda"),
     ])
     def test_bad_value_exits_with_message(self, tmp_path, capsys, config, message):
         with warnings.catch_warnings(record=True) as caught:

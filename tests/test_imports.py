@@ -14,12 +14,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "otazone").glob("*.py") if p.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# (importing module, imported module, private name): why the import is allowed
-PRIVATE_ALLOWED = {
-    ("tolerance", "testzone", "_kernel_blocks"):
-        "tolerance._zone_factors reads contrib's blocks from the row-lattice kernel; it moves "
-        "behind testzone when the benchmark's tracer targets can move with it",
-}
 
 
 def imports(tree):
@@ -51,15 +45,16 @@ def test_no_unused_import(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_private_name_from_another_module(path):
-    private = {(path.stem, module.split(".")[-1], name) for _, module, name in imports(parse(path))
-               if name is not None and name.startswith("_") and name != "__version__"}
-    assert private <= set(PRIVATE_ALLOWED), f"{path.name}: {sorted(private - set(PRIVATE_ALLOWED))}"
-
-
-def test_every_allowed_private_import_is_still_made():
-    made = {(p.stem, module.split(".")[-1], name) for p in MODULES
-            for _, module, name in imports(parse(p))}
-    assert set(PRIVATE_ALLOWED) <= made
+    tree = parse(path)
+    private = [f"{module}.{name}" for _, module, name in imports(tree)
+               if name is not None and name.startswith("_") and name != "__version__"]
+    # a library module bound by name (``from . import field``) is read through attributes
+    stems = {p.stem for p in MODULES}
+    bound = {b for b, module, name in imports(tree) if (name or module.split(".")[-1]) in stems}
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and node.attr.startswith("_")]
+    assert not private, f"{path.name} reads private names {sorted(private)}"
 
 
 def top_level_names(tree):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from otazone import (TIER1, TIER2, TIER3, ChamberSpec, TestZoneMesh, TestZoneSpec,
                      build_mesh, evaluate_fom, field_at_points, field_over_mesh)
 from otazone import testzone
-from otazone.field import ArrayLayout
-from otazone.testzone import FomLimits, FomReport, _kernel_blocks, _row_lattice, fom_values
+from otazone.field import ArrayLayout, element_fields
+from otazone.testzone import (FomLimits, FomReport, _kernel_blocks, _row_lattice,
+                              element_field_blocks, fom_values)
 
 from oracles import circular_range_bruteforce, field_oracle
 
@@ -94,6 +95,13 @@ class TestBuildMesh:
             for args in ((bad, lam, lam / 8), (10 * lam, bad, lam / 8), (10 * lam, lam, bad)):
                 with pytest.raises(ValueError, match="finite"):
                     TestZoneSpec(*args)
+
+    def test_chamber_zone_of_one_pitch_is_the_least_accepted(self, wave, lam):
+        # one pitch builds the center and its four neighbours; less is rejected at load
+        zone = ChamberSpec(tz_radius_lambda=0.25, mesh_pitch_lambda=0.25).zone(wave, 300 * lam)
+        assert build_mesh(zone).n_points == 5
+        with pytest.raises(ValueError, match="below mesh_pitch_lambda"):
+            ChamberSpec(tz_radius_lambda=0.25 * (1 - 1e-9), mesh_pitch_lambda=0.25)
 
 
 class TestMagnitudeFoms:
@@ -556,3 +564,28 @@ class TestKernelWindowRead:
             for pts, g in blocks:
                 assert g.flags.c_contiguous, name
                 assert np.array_equal(g, want[pts]), name
+
+
+class TestElementFieldBlocks:
+    """The per-element field blocks the tolerance search reads, against field_over_mesh."""
+
+    @pytest.mark.parametrize("ies_lambda", [0.7, 2 ** -0.5], ids=["lattice", "off_lattice"])
+    @pytest.mark.parametrize("strip", [False, True], ids=["zone", "half_rows"])
+    def test_blocks_cover_the_mesh_and_sum_to_its_field(self, wave, lam, ies_lambda, strip):
+        chamber = ChamberSpec()
+        layout = chamber.layout(ies_lambda * lam)
+        mesh = build_mesh(chamber.zone(wave, 300 * lam))
+        mesh = half_rows(mesh) if strip else mesh
+        lattice = _row_lattice(layout, mesh) is not None
+        assert lattice == (ies_lambda == 0.7)
+        want = field_over_mesh(layout, wave, mesh)
+        stop = 0
+        for pts, f in element_field_blocks(layout, wave, mesh):
+            assert pts.start == stop < pts.stop and f.shape == (pts.stop - stop, 100)
+            stop = pts.stop
+            if lattice:  # g @ taper there, a sum in another order
+                np.testing.assert_allclose(f.sum(axis=1), want[pts], rtol=1e-12, atol=0)
+            else:
+                assert f.tobytes() == element_fields(layout, wave, mesh.points[pts]).tobytes()
+                assert f.sum(axis=1).tobytes() == want[pts].tobytes()
+        assert stop == mesh.n_points and stop > 0

@@ -16,24 +16,18 @@ from otazone import (TIER1, ExcitationErrorModel, FomLimits, ToleranceSearchConf
                      ChamberSpec, draw_errors, evaluate_fom, tolerance_search)
 from otazone.cli import main
 from otazone.config import DEFAULT_GEOMETRIES_LAMBDA
+from otazone import field
 from otazone.field import element_fields
-from otazone.testzone import TestZoneSpec, _kernel_blocks, build_mesh, fom_values
+from otazone.testzone import (TestZoneSpec, _kernel_blocks, _row_lattice, build_mesh,
+                              element_field_blocks, fom_values)
 from otazone import tolerance
 from otazone.tolerance import (FOM_ORDER, _failing_level_counts, _matrix_factors, _sample_rows,
                                _zone_factors, level_fom_batch)
 
 
 def kernel_contrib(layout, wave, mesh):
-    """contrib[p, i] = t_i * g[p, i], C-ordered, formed from the blocks the search reads.
-
-    On the row lattice g comes from the kernel blocks; off it each block is
-    one ``element_fields`` call, which is bit-identical to one whole-mesh call.
-    """
-    contrib = np.empty((mesh.n_points, layout.n_elements), dtype=complex)
-    for pts, g in _kernel_blocks(layout, wave, mesh):
-        contrib[pts] = (element_fields(layout, wave, mesh.points[pts]) if g is None
-                        else g * layout.taper)
-    return contrib
+    """contrib[p, i] = t_i * g[p, i], C-ordered, formed from the blocks the search reads."""
+    return np.concatenate([f for _, f in element_field_blocks(layout, wave, mesh)])
 
 
 class TestErrorModel:
@@ -185,7 +179,7 @@ class TestKernelContrib:
     def test_matches_element_fields(self, wave, lam, ies, d):
         layout = ChamberSpec().layout(ies * lam)
         mesh = build_mesh(ChamberSpec().zone(wave, d * lam))
-        assert all(g is not None for _, g in _kernel_blocks(layout, wave, mesh))  # kernel only
+        assert _row_lattice(layout, mesh) is not None  # kernel only
         np.testing.assert_allclose(kernel_contrib(layout, wave, mesh),
                                    element_fields(layout, wave, mesh.points), rtol=1e-11, atol=0)
 
@@ -199,20 +193,26 @@ class TestKernelContrib:
     def test_off_lattice_one_call_per_row_block(self, wave, lam, monkeypatch):
         layout = ChamberSpec().layout(lam / np.sqrt(2))
         mesh = build_mesh(ChamberSpec().zone(wave, 300 * lam))
+        blocks = [pts for pts, _ in _kernel_blocks(layout, wave, mesh)]
         calls = []
 
-        def recording(layout, wave, points):
-            calls.append(points)
-            return element_fields(layout, wave, points)
+        def recording(module):  # element_fields as looked up on ``module``
+            def call(layout, wave, points):
+                calls.append((module.__name__, points))
+                return element_fields(layout, wave, points)
+            return call
 
-        monkeypatch.setattr(tolerance, "element_fields", recording)
+        # the sample on tolerance's name, the blocks on field's: the names the tracer wraps
+        for module in (tolerance, field):
+            monkeypatch.setattr(module, "element_fields", recording(module))
         assert len(_zone_factors(layout, wave, mesh)[2]) < layout.n_elements  # one pass
-        blocks = [pts for pts, _ in _kernel_blocks(layout, wave, mesh)]
-        assert len(blocks) > 1 and len(calls) == 1 + len(blocks)
-        assert np.array_equal(calls[0], mesh.points[_sample_rows(mesh.n_points, layout.n_elements)])
-        for pts, points in zip(blocks, calls[1:]):
+        assert len(blocks) > 1 and [m for m, _ in calls] == (
+            ["otazone.tolerance"] + ["otazone.field"] * len(blocks))
+        assert np.array_equal(calls[0][1],
+                              mesh.points[_sample_rows(mesh.n_points, layout.n_elements)])
+        for pts, (_, points) in zip(blocks, calls[1:]):
             assert np.array_equal(points, mesh.points[pts])
-        assert np.array_equal(np.concatenate(calls[1:]), mesh.points)
+        assert np.array_equal(np.concatenate([p for _, p in calls[1:]]), mesh.points)
 
 
 class TestFactor:
@@ -406,8 +406,10 @@ class TestPiecePool:
     def test_worker_error_reaches_caller(self, level, scoring, two_workers):
         calls, active = scoring
         contrib, mesh, eps = level
-        eps[12] = -1.0  # realization 12, in the third piece, has zero field
-        with pytest.raises(ValueError, match="zero-magnitude"):
+        # realization 12, in the third piece, has a NaN field. Not eps = -1: that field cancels
+        # only to rounding, and whether a sample is exactly zero depends on BLAS's threads.
+        eps[12] = np.nan
+        with pytest.raises(ValueError, match="non-finite sample"):
             level_fom_batch(contrib, mesh, eps)
         self.assert_stopped(lambda: len(calls), active)
 
