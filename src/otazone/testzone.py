@@ -21,6 +21,8 @@ from . import field
 from .field import ArrayLayout, WaveSpec, checked_int, field_at_points, make_taper
 
 FOM_ORDER = ("R_mag", "sigma_mag", "R_phs")
+# radians to degrees: np.degrees multiplies by this same double, so the bytes are equal
+_DEG = 180.0 / np.pi
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,8 @@ class TestZoneSpec:
             raise ValueError("radius must be positive")
         if self.pitch <= 0:
             raise ValueError("pitch must be positive")
+        if self.radius / self.pitch * (1.0 + 1e-12) < 1.0:  # as in build_mesh
+            raise ValueError("radius below pitch leaves one mesh point")
         if self.distance <= self.radius:
             raise ValueError("test zone must not intersect the array line (D > R)")
 
@@ -346,7 +350,7 @@ def fom_values(mesh: TestZoneMesh, values: np.ndarray):
     if not np.isfinite(r_mag).all():
         raise ValueError("zero-magnitude or non-finite sample; dB undefined")
     phases = np.arctan2(values.imag, values.real)
-    np.degrees(phases, out=phases)
+    phases *= _DEG
     foms = (r_mag, db.std(axis=-1, ddof=1), _worst_row_range(phases, mesh.edges[:-1]))
     return tuple(float(f) for f in foms) if values.ndim == 1 else foms
 

@@ -48,9 +48,10 @@ class ExcitationErrorModel:
         return 10.0 ** (self.sigma_db / 20.0) - 1.0
 
 
-# numpy's SeedSequence hash and PCG64 multiplier; NEP 19 keeps both stable
+# numpy's SeedSequence hash and PCG64 multiplier (in 64-bit halves); NEP 19 keeps both stable
 _M32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 2**32 - 1, 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R, _PCG_MULT = 0xca01f9dd, 0x4973f715, 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def _uint32_words(entry: int) -> tuple:
@@ -58,13 +59,18 @@ def _uint32_words(entry: int) -> tuple:
     return tuple((entry >> shift) & _M32 for shift in range(0, max(entry.bit_length(), 1), 32))
 
 
-def _pcg64_states(rows: Sequence[tuple]):
-    """Yield the PCG64 (state, inc) of ``default_rng(row)`` per tuple of non-negative ints."""
-    rows = [r if max(r, default=0) <= _M32 else sum(map(_uint32_words, r), ()) for r in rows]
-    # SeedSequence's hash, on all rows at once in wrapping uint32 arithmetic
-    lens = np.array([max(len(r), 4) for r in rows])  # shorter entropy mixes as if zero-padded
+def _pcg64_states(rows: Sequence[tuple]) -> Tuple[list, list]:
+    """The PCG64 states and incs of ``default_rng(row)`` per tuple of non-negative ints."""
+    if max(itertools.chain.from_iterable(rows), default=0) > _M32:  # some entry is split
+        rows = [r if max(r, default=0) <= _M32 else sum(map(_uint32_words, r), ()) for r in rows]
+    # SeedSequence's hash, on all rows at once in wrapping uint32 arithmetic; entropy shorter
+    # than the 4-word pool mixes as if zero-padded
+    lens = np.fromiter(map(len, rows), np.intp, len(rows))
     width = lens.max()
-    words = np.array([r + (0,) * (width - len(r)) for r in rows], dtype=np.uint32).T
+    columns = itertools.chain.from_iterable(itertools.zip_longest(*rows, fillvalue=0))
+    words = np.zeros((max(width, 4), len(rows)), dtype=np.uint32)
+    words[:width] = np.fromiter(columns, np.uint32, width * len(rows)).reshape(width, len(rows))
+    lens = lens.clip(4)
     h = [_INIT_A, _MULT_A]
 
     def hashmix(v, k):  # k successive hashmix calls, one per row of the result
@@ -74,16 +80,39 @@ def _pcg64_states(rows: Sequence[tuple]):
         return v ^ (v >> np.uint32(16))
 
     pool = hashmix(words[:4], 4)
-    for src in range(width):  # the pool, then each row's entropy beyond it
+    for src in range(len(words)):  # the pool, then each row's entropy beyond it
         dst = [d for d in range(4) if d != src]
         m = (np.uint32(_MIX_L) * pool[dst]
              - np.uint32(_MIX_R) * hashmix(pool[src] if src < 4 else words[src], len(dst)))
         pool[dst] = np.where(lens > src, m ^ (m >> np.uint32(16)), pool[dst])
     h[:] = _INIT_B, _MULT_B
     out = hashmix(np.tile(pool, (2, 1)), 8).astype(np.uint64)
-    for a, b, c, d in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
-        inc = ((c << 64 | d) << 1 | 1) % 2**128  # seed a:b, sequence c:d, high words first
-        yield ((inc + (a << 64 | b)) * _PCG_MULT + inc) % 2**128, inc
+    a, b, c, d = out[0::2] | out[1::2] << np.uint64(32)  # seed a:b, sequence c:d, high first
+    # PCG64's seeding mod 2**128, on (high, low) 64-bit halves: inc = 2 * sequence + 1 and
+    # state = (seed + inc) * mult + inc
+    inc = c << 1 | d >> 63, d << 1 | 1
+    hi, lo = _add128((a, b), inc)
+    state = _add128((hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi(lo, _PCG_MULT_LO),
+                     lo * _PCG_MULT_LO), inc)
+
+    def join(high, low):  # the 128-bit Python ints of (high, low) halves
+        return [x << 64 | y for x, y in zip(high.tolist(), low.tolist())]
+
+    return join(*state), join(*inc)
+
+
+def _add128(x, y):
+    """x + y mod 2**128 for (high, low) pairs of uint64 arrays."""
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < y[1]), lo
+
+
+def _mulhi(x, y):
+    """The high 64 bits of x * y for a uint64 array x and an int y < 2**64, by 32-bit halves."""
+    x1, x0, y1, y0 = x >> 32, x & _M32, y >> 32, y & _M32
+    lo_lo, hi_lo = x0 * y0, x1 * y0
+    cross = (lo_lo >> 32) + (hi_lo & _M32) + x0 * y1
+    return x1 * y1 + (hi_lo >> 32) + (cross >> 32)
 
 
 def draw_errors(model: ExcitationErrorModel, n: int, keys: Sequence) -> np.ndarray:
@@ -98,7 +127,9 @@ def draw_errors(model: ExcitationErrorModel, n: int, keys: Sequence) -> np.ndarr
     rows = [(k,) if type(k) is int else k for k in keys]
     if s == 0.0 or not rows:
         return np.zeros((len(rows), n), dtype=complex)
-    if not all(type(r) is tuple and all(type(e) is int and e >= 0 for e in r) for r in rows):
+    entries = itertools.chain.from_iterable
+    if not ({tuple} >= set(map(type, rows)) and {int} >= set(map(type, entries(rows)))
+            and min(entries(rows), default=0) >= 0):
         for key, row in zip(keys, rows):  # the first bad key names the error
             if type(row) is not tuple or not all(type(e) is int for e in row):
                 raise TypeError(f"key {key!r} is not a non-negative int or a tuple of them")
@@ -106,12 +137,16 @@ def draw_errors(model: ExcitationErrorModel, n: int, keys: Sequence) -> np.ndarr
                 raise ValueError(f"key {key!r} has a negative entry")
     parts = np.empty((len(keys), 2, n))
     gen = np.random.default_rng(keys[0])  # key 0's own stream, re-keyed per row
-    for row, (state, inc) in zip(parts, _pcg64_states(rows)):
-        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                   "uinteger": 0, "state": {"state": state, "inc": inc}}
-        gen.standard_normal(out=row)
-    parts *= s
-    return parts[:, 0] + 1j * parts[:, 1]
+    pcg = {}  # one state dict, refilled per row
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
+    bits, draw = gen.bit_generator, gen.standard_normal
+    for row, pcg["state"], pcg["inc"] in zip(parts, *_pcg64_states(rows)):
+        bits.state = state
+        draw(out=row)
+    out = np.empty((len(keys), n), dtype=complex)
+    np.multiply(parts[:, 0], s, out=out.real)
+    np.multiply(parts[:, 1], s, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)

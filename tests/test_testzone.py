@@ -103,6 +103,16 @@ class TestBuildMesh:
         with pytest.raises(ValueError, match="below mesh_pitch_lambda"):
             ChamberSpec(tz_radius_lambda=0.25 * (1 - 1e-9), mesh_pitch_lambda=0.25)
 
+    def test_zone_of_one_pitch_is_the_least_accepted(self, wave, lam):
+        # build_mesh's slack admits a radius a rounding below the pitch; less is rejected
+        # before any mesh or field is built
+        assert build_mesh(TestZoneSpec(300 * lam, lam / 8 * (1 - 1e-13), lam / 8)).n_points == 5
+        with pytest.raises(ValueError, match="radius below pitch"):
+            TestZoneSpec(300 * lam, lam / 8 * (1 - 1e-9), lam / 8)
+        with pytest.raises(ValueError, match="radius below pitch"):
+            evaluate_fom(ChamberSpec().layout(0.7 * lam), wave,
+                         TestZoneSpec(591 * lam, 0.01 * lam, lam / 8), TIER1)
+
 
 class TestMagnitudeFoms:
     def test_r_mag_constant(self):
@@ -178,6 +188,17 @@ class TestPhaseRange:
         a = row_phase_range(phases)
         b = row_phase_range([p + shift for p in phases])
         assert a == pytest.approx(b, abs=1e-6)
+
+    def test_degrees_are_numpy_degrees(self):
+        # fom_values scales its phases by _DEG in place; the bytes equal np.degrees'
+        tiny = np.finfo(float).smallest_subnormal
+        special = np.array([np.pi, -np.pi, 0.0, -0.0, tiny, -tiny, 1e5 * tiny, -1e5 * tiny])
+        rng = np.random.default_rng(0)
+        for piece in range(11):  # the special values, then 10**7 uniform in [-pi, pi]
+            x = special if piece == 0 else rng.uniform(-np.pi, np.pi, 10 ** 6)
+            got = x.copy()
+            got *= testzone._DEG
+            assert got.tobytes() == np.degrees(x).tobytes()
 
     def test_r_phs_over_mesh_rows(self, lam):
         mesh = build_mesh(TestZoneSpec(100 * lam, lam / 4, lam / 8))

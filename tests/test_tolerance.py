@@ -81,8 +81,13 @@ class TestDrawErrors:
         ([(5, 6), 2 ** 32, (1, 2 ** 32)], None),
         ([(5, 6), (1, -1)], None), ([-5], None),
         ([(5, 6), 1.5], None), ([(1, 2.0)], None),
+        # batches of one key length
+        ([(1, 2), (True, 2)], TypeError), ([(1, 2), (np.int64(3), 4)], TypeError),
+        ([(1, 2), (2 ** 32, 3)], None), ([(1, 2, 3), (5, 2 ** 64, 3), (2 ** 70 + 9, 0, 1)], None),
+        ([(), ()], None), ([(4, 5, 6)], None),
     ], ids=["bare_ints", "lists", "numpy_entries", "mixed_lengths", "beyond_32_bits",
-            "negative_entry", "negative_int", "float", "float_entry"])
+            "negative_entry", "negative_int", "float", "float_entry", "even_bool",
+            "even_numpy_int", "even_2_32", "even_2_64", "even_empty", "single"])
     def test_rows_match_default_rng_or_raise_alike(self, keys, other):
         # keys are non-negative ints or tuples of them; other forms that default_rng
         # accepts (lists, numpy integers, bools) raise ``other``
