@@ -111,7 +111,11 @@ def sinr(h: np.ndarray, w: np.ndarray, snr_db: Sequence[float],
     ``w`` is an (m, n_dut, 2) batch of combiners and ``noise_norms`` the
     per-column noise powers, broadcast against (m, 2); the weight error
     study passes the nominal (error-free) combiner norms so the noise
-    floor stays anchored while the errors distort the gains.
+    floor stays anchored while the errors distort the gains. Any strides
+    give the same bits. ``run_study`` forms (1 + eps) once per cell and
+    passes each combiner's perturbed weights held as (m, 2, n_dut), by
+    user, through the transposed view, so the sum over DUT elements runs
+    along contiguous memory.
     """
     g = np.einsum('un,mnv->muv', h, w)
     if np.any(np.asarray(noise_norms) == 0.0):
@@ -178,6 +182,10 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
     MF-vs-ZF differences). A zero sigma is one error-free realization,
     iteration 0 alone. The noise floor uses the nominal combiner
     norms; errors distort only the signal and interference gains.
+    The gains (1 + eps) are formed once per cell, in place on the draws.
+    Each combiner's perturbed weights are held as (iteration, user, DUT
+    element) and passed to ``sinr`` as the transposed view, so its sum
+    over DUT elements runs along contiguous memory.
     """
     results: List[SumRatePoint] = []
     for gi, (ies, dist) in enumerate(geometries):
@@ -190,11 +198,15 @@ def run_study(geometries: Sequence[Tuple[float, float]], wave: WaveSpec,
             noise_norms = {prec: np.sum(np.abs(w) ** 2, axis=0) for prec, w in weights.items()}
             for si, sigma in enumerate(cfg.sigma_dut_db):
                 keys = [(cfg.rng_seed, gi, ai, si, it) for it in range(cfg.n_mc if sigma else 1)]
-                eps_batch = draw_errors(ExcitationErrorModel(sigma), 2 * cfg.dut.n_elements,
-                                        keys).reshape(len(keys), -1, 2)
+                gains = draw_errors(ExcitationErrorModel(sigma), 2 * cfg.dut.n_elements, keys)
+                gains += 1.0
+                # (iteration, user, DUT element) view of the (iteration, DUT element, user) rows
+                gains = gains.reshape(len(keys), -1, 2).transpose(0, 2, 1)
                 for prec, w in weights.items():
-                    rates = sum_rate(sinr(h, (1.0 + eps_batch) * w, cfg.snr_db,
+                    w_batch = np.multiply(gains, w.T, order="C").transpose(0, 2, 1)
+                    rates = sum_rate(sinr(h, w_batch, cfg.snr_db,
                                           noise_norms[prec])).mean(axis=-1)
+                    del w_batch  # before the next combiner's product is formed
                     results.extend(SumRatePoint(layout.length, dist, alpha, prec, snr, sigma,
                                                 float(rate))
                                    for snr, rate in zip(cfg.snr_db, rates))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,19 @@ class TestSinr:
         want = sinr_symbol_oracle(h, w_batch[2], 0.0, n_symbols=400_000)
         assert got[0, 2] == pytest.approx(want, rel=0.02)
 
+    def test_user_major_batch_same_bits(self):
+        # run_study passes (m, n_dut, 2) combiners as a transposed view of (m, 2, n_dut) memory
+        rng = np.random.default_rng(12)
+        h = random_channel(rng)
+        w = zf_weights(h)
+        eps = draw_errors(ExcitationErrorModel(1.0), w.size, [(12, it) for it in range(64)])
+        batch = (1.0 + eps.reshape(64, *w.shape)) * w
+        user_major = np.ascontiguousarray(batch.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert user_major.shape == batch.shape and not user_major.flags.c_contiguous
+        snrs = (-10.0, 0.0, 20.0)
+        assert (sinr(h, user_major, snrs, norms(w)).tobytes()
+                == sinr(h, batch, snrs, norms(w)).tobytes())
+
 
 @pytest.fixture(scope="module")
 def small_study(wave, lam):
@@ -299,3 +314,42 @@ class TestRunStudy:
                    and p.distance == geoms[gi][1] and p.alpha_deg == alpha]
             assert len(got) == 1
             assert got[0] == pytest.approx(np.mean(rates), abs=1e-12)
+
+    def test_cells_equal_c_ordered_product(self, wave, lam):
+        # every cell bit for bit from the plain C-ordered (1 + eps) * w of its own draws
+        geoms = [(0.7 * lam, 591 * lam), (1.35 * lam, 286 * lam)]
+        cfg = StudyConfig(snr_db=(-10.0, 10.0), sigma_dut_db=(0.0, 0.6, 1.8),
+                          alpha_offsets_deg=(0.0, 15.0), n_mc=12, rng_seed=4)
+        n_dut = cfg.dut.n_elements
+        want = []
+        for gi, (ies, dist) in enumerate(geoms):
+            layout = ChamberSpec().layout(ies)
+            for ai, off in enumerate(cfg.alpha_offsets_deg):
+                alpha = alpha_min_deg(layout.length, dist) + off
+                h = build_channel(layout, dist, alpha, cfg.dut, wave)
+                for si, sigma in enumerate(cfg.sigma_dut_db):
+                    keys = [(cfg.rng_seed, gi, ai, si, it)
+                            for it in range(cfg.n_mc if sigma else 1)]
+                    eps = draw_errors(ExcitationErrorModel(sigma), 2 * n_dut,
+                                      keys).reshape(len(keys), n_dut, 2)
+                    for wfun in (mf_weights, zf_weights):
+                        w = wfun(h)
+                        want.extend(sum_rate(sinr(h, (1.0 + eps) * w, cfg.snr_db,
+                                                  norms(w))).mean(axis=-1))
+        got = [p.avg_sum_rate for p in run_study(geoms, wave, cfg)]
+        assert len(got) == 2 * 2 * 3 * 2 * 2
+        assert got == [float(r) for r in want]
+
+    def test_peak_memory_bounded_by_cell_draws(self, wave, lam):
+        # a cell's draws are n_mc x 2 n_dut complex; the study peaks below four times that,
+        # so one combiner's product is freed before the next one is formed
+        cfg = StudyConfig(sigma_dut_db=(0.5, 1.0), alpha_offsets_deg=(0.0,), n_mc=1000)
+        geoms = [(0.7 * lam, 591 * lam)]
+        run_study(geoms, wave, cfg)  # warm-up: imports, caches
+        tracemalloc.start()
+        try:
+            run_study(geoms, wave, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * cfg.n_mc * 2 * cfg.dut.n_elements * 16
